@@ -40,8 +40,8 @@ fn bench_smr(c: &mut Criterion) {
                 .wall_delta(WallDuration::from_millis(5))
                 .build_smr::<KvCommand, KvStore>()
                 .expect("in-memory build cannot fail");
-            cluster.propose(ProcessId::new(0), KvCommand::put("k", "v"));
-            let d = cluster.await_decision(ProcessId::new(0), WallDuration::from_secs(10));
+            let client = cluster.proxy_client(ProcessId::new(0));
+            let d = client.submit_and_wait(KvCommand::put("k", "v"), WallDuration::from_secs(10));
             std::hint::black_box(d)
         })
     });

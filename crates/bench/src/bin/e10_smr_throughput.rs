@@ -24,18 +24,27 @@ fn p(i: u32) -> ProcessId {
 /// Commits `k` commands through a threaded cluster and returns
 /// (elapsed, commands committed everywhere).
 fn run_cluster(cluster: &Cluster<KvCommand>, k: usize) -> (WallDuration, bool) {
-    let cfg = cluster.config();
     let start = Instant::now();
+    let client = cluster.proxy_client(p(0));
     for i in 0..k {
-        cluster.propose(p(0), KvCommand::put(format!("key{i}"), format!("val{i}")));
+        client.propose(KvCommand::put(format!("key{i}"), format!("val{i}")));
     }
     // The decide stream reports applied commands in order; wait for the
     // last one at every replica by polling the per-process decision
     // cache (first decision per process is cached; for a stream we wait
     // on the proxy's last command via the raw channel is overkill —
     // poll the proxy decision of slot 0 then give the pipeline time).
-    let ok = cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(30));
+    let ok = all_decided(cluster, WallDuration::from_secs(30));
     (start.elapsed(), ok)
+}
+
+/// Waits until every process has decided, sharing one deadline.
+fn all_decided(cluster: &Cluster<KvCommand>, timeout: WallDuration) -> bool {
+    let deadline = Instant::now() + timeout;
+    cluster.config().process_ids().all(|q| {
+        let left = deadline.saturating_duration_since(Instant::now());
+        cluster.await_decision(0, q, left).is_some()
+    })
 }
 
 fn main() {
@@ -98,8 +107,9 @@ fn main() {
             .expect("in-memory build cannot fail");
         let k = 40;
         let start = Instant::now();
+        let client = cluster.proxy_client(p(0));
         for i in 0..k {
-            cluster.propose(p(0), KvCommand::put(format!("key{i}"), "v"));
+            client.propose(KvCommand::put(format!("key{i}"), "v"));
         }
         // Wait until the proxy has applied all k commands: the k-th
         // decide event at p0. Poll via decision latency of others too.
@@ -109,7 +119,7 @@ fn main() {
             // Proxy decided slot 0 at least; we approximate completion by
             // waiting for every replica to have decided something and
             // then a settle window of a few Δ per command.
-            if cluster.await_decisions(cfg.process_ids(), WallDuration::from_millis(50)) {
+            if all_decided(&cluster, WallDuration::from_millis(50)) {
                 applied_all = true;
                 break;
             }

@@ -1,12 +1,12 @@
-//! The injector's deterministic randomness source.
+//! The workspace's deterministic randomness source, shared by the
+//! Byzantine injector and the `twostep-fuzz` schedule generator.
 //!
-//! Byzantine schedules must replay bit-for-bit from a seed, on every
-//! platform and under every future standard library, so this crate
-//! carries its own SplitMix64 (Steele, Lea & Flood, OOPSLA'14) rather
-//! than depending on an external generator whose stream might change.
-//! The implementation is kept identical to the fuzzer's copy in
-//! `twostep-fuzz` (both pin the same reference values), so a fuzz seed
-//! and an injection seed drawn from it stay mutually reproducible.
+//! Byzantine schedules and fuzz cases must replay bit-for-bit from a
+//! seed, on every platform and under every future standard library, so
+//! this crate carries its own SplitMix64 (Steele, Lea & Flood,
+//! OOPSLA'14) rather than depending on an external generator whose
+//! stream might change. One generator serves both, so a fuzz seed and
+//! an injection seed drawn from it stay mutually reproducible.
 
 /// SplitMix64 generator state.
 #[derive(Debug, Clone)]
@@ -21,7 +21,8 @@ impl SplitMix64 {
     }
 
     /// Derives the seed for an independent stream, used to give every
-    /// wrapped process its own corruption stream from one plan seed.
+    /// wrapped process its own corruption stream from one plan seed and
+    /// every fuzzing iteration its own schedule from one root seed.
     pub fn stream(root: u64, index: u64) -> u64 {
         let mut g = SplitMix64(root ^ index.wrapping_mul(GOLDEN));
         g.next_u64()
@@ -47,6 +48,23 @@ impl SplitMix64 {
     pub fn chance(&mut self, num: u64, den: u64) -> bool {
         self.below(den) < num
     }
+
+    /// Fisher–Yates shuffle.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.below(i as u64 + 1) as usize;
+            items.swap(i, j);
+        }
+    }
+
+    /// Picks a uniformly random element, if any.
+    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
+        if items.is_empty() {
+            None
+        } else {
+            Some(&items[self.below(items.len() as u64) as usize])
+        }
+    }
 }
 
 #[cfg(test)]
@@ -54,17 +72,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_the_fuzzer_reference_stream() {
-        // Pinned to the same values as `twostep-fuzz`'s copy, so the
-        // two generators can never silently diverge.
+    fn known_reference_values() {
+        // Pinned so a refactor cannot silently change every injection
+        // plan and every schedule in the fuzz regression corpus.
         let mut g = SplitMix64::new(0);
         assert_eq!(g.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(g.next_u64(), 0x6E78_9E6A_A1B9_65F4);
     }
 
     #[test]
+    fn deterministic_across_instances() {
+        let mut a = SplitMix64::new(42);
+        let mut b = SplitMix64::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
     fn streams_are_independent() {
         assert_ne!(SplitMix64::stream(1, 0), SplitMix64::stream(1, 1));
         assert_ne!(SplitMix64::stream(1, 0), SplitMix64::stream(2, 0));
+    }
+
+    #[test]
+    fn shuffle_permutes() {
+        let mut g = SplitMix64::new(7);
+        let mut v: Vec<u32> = (0..10).collect();
+        g.shuffle(&mut v);
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..10).collect::<Vec<_>>());
     }
 }

@@ -37,7 +37,7 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::{ByzConfig, ProcessId, SystemConfig};
 
 use crate::oracle::Verdict;
-use crate::rng::SplitMix64;
+use crate::SplitMix64;
 
 /// Every process's protocol in a Byzantine campaign: the real FastBft
 /// under the injection wrapper (honest processes pass through).

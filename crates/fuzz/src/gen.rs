@@ -25,8 +25,8 @@ use twostep_core::Ablations;
 use twostep_types::{ProcessId, SystemConfig};
 
 use crate::case::{FuzzCase, FuzzProtocol};
-use crate::rng::SplitMix64;
 use crate::schedule::Action;
+use crate::SplitMix64;
 
 /// Derives the fully determined case for one fuzzing iteration from its
 /// stream seed (see [`SplitMix64::stream`]).

@@ -18,7 +18,8 @@
 //!
 //! The pipeline, module by module:
 //!
-//! 1. [`rng`] — a self-contained SplitMix64 with per-iteration streams.
+//! 1. [`SplitMix64`] — `twostep-byz`'s generator, with per-iteration
+//!    streams.
 //! 2. [`gen`] — phase-structured schedule generation, biased towards
 //!    the fast-decide / vote-split / crash / recover shape of the
 //!    paper's §B.1 adversary.
@@ -42,7 +43,6 @@ pub mod byzcamp;
 pub mod case;
 pub mod gen;
 pub mod oracle;
-pub mod rng;
 pub mod runner;
 pub mod schedule;
 pub mod shard;
@@ -56,7 +56,6 @@ pub use byzcamp::{
 pub use case::{run_case, run_case_observed, FuzzCase, FuzzProtocol, RunReport};
 pub use gen::gen_case;
 pub use oracle::{check_liveness, check_safety, Verdict};
-pub use rng::SplitMix64;
 pub use runner::{fuzz, fuzz_with_progress, Failure, FuzzConfig, FuzzOutcome};
 pub use schedule::{Action, ParseError, Schedule};
 pub use shard::{
@@ -64,4 +63,5 @@ pub use shard::{
     ShardFuzzConfig, ShardFuzzOutcome, SHARD_STRIDE,
 };
 pub use shrink::{shrink, ShrinkOutcome};
+pub use twostep_byz::SplitMix64;
 pub use witness::{paxos_is_not_two_step, two_step_witness};

@@ -14,9 +14,9 @@ use twostep_types::SystemConfig;
 use crate::case::{run_case_observed, FuzzCase, FuzzProtocol};
 use crate::gen::gen_case;
 use crate::oracle::{check_liveness, check_safety, Verdict};
-use crate::rng::SplitMix64;
 use crate::schedule::Schedule;
 use crate::shrink::shrink;
+use crate::SplitMix64;
 
 /// Parameters of one fuzzing campaign.
 #[derive(Debug, Clone)]

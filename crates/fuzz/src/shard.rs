@@ -26,7 +26,7 @@ use twostep_types::{ProcessId, SystemConfig};
 
 use crate::case::{FuzzProtocol, RunReport};
 use crate::oracle::{check_safety, Verdict};
-use crate::rng::SplitMix64;
+use crate::SplitMix64;
 
 /// Shard `s` proposes values in `[s * STRIDE, (s+1) * STRIDE)`, so a
 /// decided value names its owning shard — the leakage oracle's handle.

@@ -1,8 +1,7 @@
 //! Fluent construction of whole clusters.
 
-use std::time::Duration as WallDuration;
-
 use std::sync::Arc;
+use std::time::Duration as WallDuration;
 
 use twostep_smr::{Routable, SmrReplicaBuilder, StateMachine};
 use twostep_telemetry::ObserverHandle;
@@ -10,40 +9,23 @@ use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
 use crate::cluster::Cluster;
-use crate::shard::{ShardRouter, ShardedCluster};
-use crate::transport::SocketBackend;
+use crate::node::{spawn_node, NodeOptions};
+use crate::proxy::RouteFn;
+use crate::shard::ShardRouter;
+use crate::transport::{delayed_inbox, Backend};
 use crate::RuntimeError;
-
-/// Which transport a [`ClusterBuilder`] deploys over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransportKind {
-    InMemory,
-    Tcp,
-    Reactor,
-}
-
-impl TransportKind {
-    /// The socket backend this kind maps to, if it is a socket kind.
-    fn socket_backend(self) -> Option<SocketBackend> {
-        match self {
-            TransportKind::InMemory => None,
-            TransportKind::Tcp => Some(SocketBackend::Blocking),
-            TransportKind::Reactor => Some(SocketBackend::Reactor),
-        }
-    }
-}
 
 /// Builder for [`Cluster`] — the one construction path for every
 /// deployment shape.
 ///
-/// Replaces the constructor matrix (`in_memory`/`in_memory_observed`/
-/// `tcp`/`tcp_observed` × `spawn`/`spawn_observed` ×
-/// `TcpTransport::new`/`new_observed`) with one fluent chain: config up
-/// front, then transport choice, observer and batching/pipeline knobs,
-/// then either [`ClusterBuilder::build`] with a protocol factory or
-/// [`ClusterBuilder::build_smr`] for the batteries-included SMR
-/// deployment. Client handles come from
-/// [`Cluster::proxy_client`].
+/// One fluent chain: config up front, then transport choice, observer
+/// and batching/pipeline/shard knobs, then [`ClusterBuilder::build`]
+/// with a protocol factory, [`ClusterBuilder::build_smr`] for the
+/// batteries-included SMR deployment, or
+/// [`ClusterBuilder::build_sharded_smr`] for `k` SMR groups. Every
+/// variant runs the same assembly; the first two deploy one group.
+/// Client handles come from [`Cluster::proxy_client`] and
+/// [`Cluster::client`].
 ///
 /// ```rust
 /// use std::time::Duration;
@@ -67,7 +49,7 @@ pub struct ClusterBuilder {
     cfg: SystemConfig,
     wall_delta: WallDuration,
     link_delay: WallDuration,
-    transport: TransportKind,
+    transport: Backend,
     obs: ObserverHandle,
     shard_obs: Vec<ObserverHandle>,
     batch: usize,
@@ -84,7 +66,7 @@ impl ClusterBuilder {
             cfg,
             wall_delta: WallDuration::from_millis(10),
             link_delay: WallDuration::ZERO,
-            transport: TransportKind::InMemory,
+            transport: Backend::InMemory,
             obs: ObserverHandle::none(),
             shard_obs: Vec::new(),
             batch: 1,
@@ -103,13 +85,11 @@ impl ClusterBuilder {
     }
 
     /// Emulates a one-way link latency: every payload is held for
-    /// `delay` before delivery, on every transport. The in-memory
-    /// transport detours through its delay-line thread
-    /// ([`crate::InMemoryTransport::with_delay`]); the socket backends
-    /// hold received payloads on the receive side before the node sees
-    /// them, on top of the real (tiny) localhost latency — so a given
-    /// `link_delay` is comparable across all three backends. Zero (the
-    /// default) adds nothing.
+    /// `delay` on the receive side before the node sees it, on every
+    /// transport (two delay-line threads per node; on the socket
+    /// backends, on top of the real, tiny localhost latency), so a
+    /// given `link_delay` is comparable across all three backends. Zero
+    /// (the default) adds nothing.
     ///
     /// Use this to measure pipelining/sharding effects: with instant
     /// links a single consensus group is CPU-bound and extra in-flight
@@ -128,7 +108,7 @@ impl ClusterBuilder {
     /// accepted connection).
     #[must_use]
     pub fn tcp(mut self) -> Self {
-        self.transport = TransportKind::Tcp;
+        self.transport = Backend::Tcp;
         self
     }
 
@@ -139,14 +119,14 @@ impl ClusterBuilder {
     /// writes, reusable read buffers, timer-heap reconnect backoff.
     #[must_use]
     pub fn reactor(mut self) -> Self {
-        self.transport = TransportKind::Reactor;
+        self.transport = Backend::Reactor;
         self
     }
 
     /// Deploys over the in-memory transport (the default).
     #[must_use]
     pub fn in_memory(mut self) -> Self {
-        self.transport = TransportKind::InMemory;
+        self.transport = Backend::InMemory;
         self
     }
 
@@ -177,8 +157,9 @@ impl ClusterBuilder {
     }
 
     /// Hash-partitions the key space across `k` independent consensus
-    /// groups (sharded builds only; see
-    /// [`ClusterBuilder::build_sharded_smr`]). Every node hosts one
+    /// groups ([`ClusterBuilder::build_sharded_smr`] only;
+    /// [`ClusterBuilder::build`] and [`ClusterBuilder::build_smr`]
+    /// always deploy one group). Every node hosts one
     /// replica of every group on its existing thread and transport
     /// endpoint; group `s`'s leader preference is rotated to node
     /// `s mod n`, spreading leader load round-robin.
@@ -211,29 +192,13 @@ impl ClusterBuilder {
     ///
     /// Propagates socket setup failures on the TCP transport; the
     /// in-memory build is infallible.
-    pub fn build<V, P, F>(self, make: F) -> Result<Cluster<V>, RuntimeError>
+    pub fn build<V, P, F>(self, mut make: F) -> Result<Cluster<V>, RuntimeError>
     where
         V: Value,
         P: Protocol<V> + 'static,
         F: FnMut(ProcessId) -> P,
     {
-        match self.transport.socket_backend() {
-            None => Ok(Cluster::assemble_in_memory(
-                self.cfg,
-                self.wall_delta,
-                self.link_delay,
-                make,
-                self.obs,
-            )),
-            Some(backend) => Cluster::assemble_sockets(
-                self.cfg,
-                self.wall_delta,
-                self.link_delay,
-                backend,
-                make,
-                self.obs,
-            ),
-        }
+        self.deploy(ShardRouter::new(1), Arc::new(|_| 0), |p, _| make(p))
     }
 
     /// Builds a cluster of SMR replicas replicating state machine `S`
@@ -277,43 +242,78 @@ impl ClusterBuilder {
     ///
     /// Propagates socket setup failures on the TCP transport; the
     /// in-memory build is infallible.
-    pub fn build_sharded_smr<C, S>(self) -> Result<ShardedCluster<C>, RuntimeError>
+    pub fn build_sharded_smr<C, S>(self) -> Result<Cluster<C>, RuntimeError>
     where
         C: Value + Ord + Routable,
         S: StateMachine<C> + 'static,
     {
         let router = ShardRouter::new(self.shards);
         let route = Arc::new(move |c: &C| router.route(c.route_key().as_ref()));
-        let (cfg, obs, batch, pipeline) = (self.cfg, self.obs.clone(), self.batch, self.pipeline);
-        let shard_obs = self.shard_obs.clone();
-        let make = move |p: ProcessId, s: u32| {
-            let obs = shard_obs
-                .get(s as usize)
-                .cloned()
-                .unwrap_or_else(|| obs.clone());
+        let (cfg, batch, pipeline) = (self.cfg, self.batch, self.pipeline);
+        let observers = self.shard_observer_list(router.shards());
+        self.deploy(router, route, move |p, s| {
             SmrReplicaBuilder::new(cfg, p)
                 .pipeline(pipeline)
                 .batch(batch)
                 .leader_rotation(s)
-                .observed(obs)
+                .observed(observers[s as usize].clone())
                 .build::<C, S>()
-        };
-        let timing = crate::shard::Timing {
-            wall_delta: self.wall_delta,
-            link_delay: self.link_delay,
-        };
-        let observers = crate::shard::Observers {
-            cluster: self.obs,
-            shards: self.shard_obs,
-        };
-        match self.transport.socket_backend() {
-            None => Ok(ShardedCluster::assemble_in_memory(
-                self.cfg, router, timing, make, route, observers,
-            )),
-            Some(backend) => ShardedCluster::assemble_sockets(
-                self.cfg, router, timing, backend, make, route, observers,
-            ),
-        }
+        })
+    }
+
+    /// The observer of each of `k` shards: its
+    /// [`ClusterBuilder::shard_observers`] entry, else the cluster-wide
+    /// one.
+    fn shard_observer_list(&self, k: usize) -> Vec<ObserverHandle> {
+        (0..k)
+            .map(|s| {
+                self.shard_obs
+                    .get(s)
+                    .cloned()
+                    .unwrap_or_else(|| self.obs.clone())
+            })
+            .collect()
+    }
+
+    /// Deploys `router.shards()` groups: node `p` hosts `make(p, s)` for
+    /// every shard `s`, behind one inbox (delayed by the link latency)
+    /// and one transport endpoint of the chosen backend.
+    fn deploy<V, P, F>(
+        self,
+        router: ShardRouter,
+        route: RouteFn<V>,
+        mut make: F,
+    ) -> Result<Cluster<V>, RuntimeError>
+    where
+        V: Value,
+        P: Protocol<V> + 'static,
+        F: FnMut(ProcessId, u32) -> P,
+    {
+        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..self.cfg.n())
+            .map(|_| {
+                let (tx, rx) = crossbeam::channel::unbounded();
+                (delayed_inbox(self.link_delay, tx), rx)
+            })
+            .unzip();
+        let transports = self.transport.spawn_all(senders, &self.obs)?;
+        let observers = self.shard_observer_list(router.shards());
+        let (dtx, drx) = crossbeam::channel::unbounded();
+        let nodes = inboxes
+            .into_iter()
+            .zip(transports)
+            .enumerate()
+            .map(|(i, (inbox, transport))| {
+                let p = ProcessId::new(i as u32);
+                let instances = (0..router.shards() as u32).map(|s| make(p, s)).collect();
+                let opts = NodeOptions {
+                    wall_delta: self.wall_delta,
+                    decisions: dtx.clone(),
+                    observers: observers.clone(),
+                };
+                spawn_node(instances, inbox, transport, opts)
+            })
+            .collect();
+        Ok(Cluster::new(self.cfg, router, nodes, drx, route, self.obs))
     }
 }
 

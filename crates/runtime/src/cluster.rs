@@ -1,4 +1,9 @@
-//! A whole deployment: `n` nodes, a transport, and client-side helpers.
+//! A whole deployment: `n` nodes × `k` consensus groups, a transport,
+//! and client-side helpers.
+//!
+//! Every deployment is sharded: a one-group cluster is the `k = 1`
+//! case of the same code path (see [`crate::shard`] for the key→shard
+//! map and leader rotation).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,15 +14,11 @@ use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use twostep_telemetry::ObserverHandle;
-use twostep_types::protocol::Protocol;
-#[cfg(test)]
-use twostep_types::ProtocolKind;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
-use crate::node::{spawn_node, NodeHandle, NodeOptions};
-use crate::proxy::ProxyClient;
-use crate::transport::{delayed_inbox, InMemoryTransport, SocketBackend, TcpTransport};
-use crate::RuntimeError;
+use crate::node::NodeHandle;
+use crate::proxy::{ProxyClient, RouteFn};
+use crate::shard::ShardRouter;
 
 /// One registered value-waiter (see [`ClusterShared::register_waiter`]).
 struct Waiter {
@@ -34,9 +35,7 @@ pub(crate) type DecideEvent<V> = (ProcessId, u32, V, Instant);
 type FirstDecisions<V> = Vec<Vec<Option<(V, Instant)>>>;
 
 /// Decision state shared between the cluster handle, its router thread
-/// and any [`ProxyClient`]s. Every index is `(shard, process)`; an
-/// unsharded cluster is the one-shard special case, with all traffic on
-/// shard 0.
+/// and any [`ProxyClient`]s. Every index is `(shard, process)`.
 pub(crate) struct ClusterShared<V> {
     /// First decision per shard per process (the per-shard
     /// agreement-checking cache).
@@ -167,274 +166,162 @@ impl<V: Value> ClusterShared<V> {
     }
 
     /// Subscribes a tap receiving every decide event from now on.
-    pub(crate) fn subscribe(&self) -> Receiver<(ProcessId, u32, V, Instant)> {
+    pub(crate) fn subscribe(&self) -> Receiver<DecideEvent<V>> {
         let (tx, rx) = crossbeam::channel::unbounded();
         self.taps.lock().push(tx);
         rx
     }
 }
 
-/// A running cluster of protocol instances.
+/// A running deployment: `n` nodes × `k` consensus groups.
 ///
-/// Construct with [`ClusterBuilder`](crate::ClusterBuilder) (or the
-/// [`Cluster::in_memory`] / [`Cluster::tcp`] conveniences it subsumes).
+/// Construct with [`ClusterBuilder`](crate::ClusterBuilder):
+/// [`build`](crate::ClusterBuilder::build) and
+/// [`build_smr`](crate::ClusterBuilder::build_smr) deploy one group,
+/// [`shards`](crate::ClusterBuilder::shards) followed by
+/// [`build_sharded_smr`](crate::ClusterBuilder::build_sharded_smr)
+/// deploys `k`. Decisions are indexed by `(shard, process)`; a
+/// one-group cluster has shard 0 only.
 ///
-/// # Example
-///
-/// ```rust,no_run
+/// ```rust
 /// use std::time::Duration;
-/// use twostep_core::ObjectConsensus;
-/// use twostep_runtime::Cluster;
-/// use twostep_types::{ProcessId, SystemConfig};
+/// use twostep_runtime::ClusterBuilder;
+/// use twostep_smr::{KvCommand, KvStore};
+/// use twostep_types::SystemConfig;
 ///
 /// let cfg = SystemConfig::minimal_object(1, 1)?;
-/// let cluster = Cluster::in_memory(cfg, Duration::from_millis(20), |p| {
-///     ObjectConsensus::<u64>::new(cfg, p)
-/// });
-/// cluster.propose(ProcessId::new(0), 7);
-/// let decided = cluster.await_decision(ProcessId::new(0), Duration::from_secs(5));
-/// assert_eq!(decided, Some(7));
+/// let cluster = ClusterBuilder::new(cfg)
+///     .shards(4)
+///     .wall_delta(Duration::from_millis(5))
+///     .build_sharded_smr::<KvCommand, KvStore>()
+///     .expect("in-memory build cannot fail");
+/// let client = cluster.client();
+/// client.submit_and_wait(KvCommand::put("k", "v"), Duration::from_secs(10));
 /// # Ok::<(), twostep_types::ConfigError>(())
 /// ```
 pub struct Cluster<V: Value> {
     cfg: SystemConfig,
+    router: ShardRouter,
     nodes: Vec<NodeHandle<V>>,
     shared: Arc<ClusterShared<V>>,
+    route: RouteFn<V>,
     obs: ObserverHandle,
-    started: Instant,
 }
 
+/// Another name for [`Cluster`], kept only because the repository
+/// benchmark (`kvbench/`) imports it.
+pub type ShardedCluster<V> = Cluster<V>;
+
 impl<V: Value> Cluster<V> {
-    /// Wires up the shared decision state and router thread around
-    /// freshly spawned nodes.
-    fn assemble(
+    /// Wires the shared decision state and its router thread around
+    /// freshly spawned nodes, whose decide events arrive on `decisions`.
+    pub(crate) fn new(
         cfg: SystemConfig,
+        router: ShardRouter,
         nodes: Vec<NodeHandle<V>>,
-        decisions: Receiver<(ProcessId, u32, V, Instant)>,
+        decisions: Receiver<DecideEvent<V>>,
+        route: RouteFn<V>,
         obs: ObserverHandle,
     ) -> Self {
-        let shared = ClusterShared::new(1, cfg.n());
+        let shared = ClusterShared::new(router.shards(), cfg.n());
         shared.spawn_router(decisions);
         Cluster {
             cfg,
+            router,
             nodes,
             shared,
+            route,
             obs,
-            started: Instant::now(),
         }
     }
 
-    /// Spawns a cluster over the in-memory transport (used by
-    /// [`ClusterBuilder`](crate::ClusterBuilder) and the conveniences
-    /// below).
-    pub(crate) fn assemble_in_memory<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        link_delay: WallDuration,
-        mut make: F,
-        obs: ObserverHandle,
-    ) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        let n = cfg.n();
-        let (transport, inboxes) = InMemoryTransport::with_delay(n, link_delay);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, inbox) in inboxes.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            nodes.push(spawn_node(
-                make(p),
-                inbox,
-                transport.clone(),
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(wall_delta)
-                    .observed(obs.clone()),
-            ));
-        }
-        drop(dtx);
-        Self::assemble(cfg, nodes, drx, obs)
-    }
-
-    /// Spawns a cluster over localhost sockets — the blocking
-    /// [`TcpTransport`] or the event-loop
-    /// [`ReactorTransport`](crate::ReactorTransport), per `backend`
-    /// (used by [`ClusterBuilder`](crate::ClusterBuilder) and the
-    /// conveniences below). A non-zero `link_delay` holds every
-    /// received payload for that duration before the node sees it,
-    /// matching the in-memory transport's emulated link latency.
-    pub(crate) fn assemble_sockets<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        link_delay: WallDuration,
-        backend: SocketBackend,
-        mut make: F,
-        obs: ObserverHandle,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        let n = cfg.n();
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (listener, addr) = TcpTransport::bind_ephemeral()?;
-            listeners.push(listener);
-            addrs.push(addr);
-        }
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            let (inbox_tx, inbox_rx) = crossbeam::channel::unbounded();
-            let inbox_tx = delayed_inbox(link_delay, inbox_tx);
-            let transport = backend.spawn(p, addrs.clone(), listener, inbox_tx, obs.clone())?;
-            nodes.push(spawn_node(
-                make(p),
-                inbox_rx,
-                transport,
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(wall_delta)
-                    .observed(obs.clone()),
-            ));
-        }
-        drop(dtx);
-        Ok(Self::assemble(cfg, nodes, drx, obs))
-    }
-
-    /// Spawns the cluster over the in-memory transport.
-    ///
-    /// `wall_delta` is the wall-clock duration of one `Δ`; it bounds the
-    /// protocol's timeouts (fast-path window `2Δ`, ballot retry `5Δ`).
-    pub fn in_memory<P, F>(cfg: SystemConfig, wall_delta: WallDuration, make: F) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_in_memory(
-            cfg,
-            wall_delta,
-            WallDuration::ZERO,
-            make,
-            ObserverHandle::none(),
-        )
-    }
-
-    /// Like [`Cluster::in_memory`], with telemetry hooks: every node
-    /// reports per-kind wire bytes and its wall-clock decision latency
-    /// (microseconds) to `obs`; pass the same handle to the protocols'
-    /// `observed` builders inside `make` for protocol-level events.
-    pub fn in_memory_observed<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        make: F,
-        obs: ObserverHandle,
-    ) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_in_memory(cfg, wall_delta, WallDuration::ZERO, make, obs)
-    }
-
-    /// Spawns the cluster over localhost TCP (real sockets, framing and
-    /// the binary codec on every hop).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket setup failures.
-    pub fn tcp<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        make: F,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_sockets(
-            cfg,
-            wall_delta,
-            WallDuration::ZERO,
-            SocketBackend::Blocking,
-            make,
-            ObserverHandle::none(),
-        )
-    }
-
-    /// Like [`Cluster::tcp`], with telemetry hooks: in addition to the
-    /// node-level reports of [`Cluster::in_memory_observed`], the TCP
-    /// transports report dropped messages and send-path reconnects.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket setup failures.
-    pub fn tcp_observed<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        make: F,
-        obs: ObserverHandle,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_sockets(
-            cfg,
-            wall_delta,
-            WallDuration::ZERO,
-            SocketBackend::Blocking,
-            make,
-            obs,
-        )
-    }
-
-    /// The deployed configuration.
+    /// The deployed configuration (per group — all groups share it).
     pub fn config(&self) -> SystemConfig {
         self.cfg
     }
 
-    /// When the cluster was spawned.
-    pub fn started_at(&self) -> Instant {
-        self.started
+    /// Number of consensus groups.
+    pub fn shards(&self) -> usize {
+        self.router.shards()
     }
 
-    /// Submits a client proposal at node `p` (the proxy).
-    pub fn propose(&self, p: ProcessId, value: V) {
-        self.nodes[p.index()].propose(value);
+    /// The key→shard router.
+    pub fn router(&self) -> ShardRouter {
+        self.router
     }
 
-    /// A client handle bound to the proxy at `p`: it can submit
-    /// commands and wait for their commit, measuring per-command
-    /// latency (see [`ProxyClient::submit_and_wait`]). Any number of
-    /// clients may share one proxy.
+    /// The node that leads shard `s` when nothing is suspected: the
+    /// round-robin assignment `s mod n`.
+    pub fn leader_of(&self, shard: u32) -> ProcessId {
+        ProcessId::new(shard % self.cfg.n() as u32)
+    }
+
+    /// A leader-routed client: each command is submitted at (and
+    /// awaited on) the node leading its shard, so every proposal starts
+    /// on the fast path of its group.
+    pub fn client(&self) -> ProxyClient<V> {
+        self.client_of(|s| self.leader_of(s))
+    }
+
+    /// A client pinned to proxy `p` for every shard: commands are
+    /// routed to their shard's replica *on node `p`* regardless of who
+    /// leads the group. Non-leader proposals reach the group leader by
+    /// forwarding, trading a hop for locality. Any number of clients
+    /// may share one proxy.
     pub fn proxy_client(&self, p: ProcessId) -> ProxyClient<V> {
-        ProxyClient::single(
-            p,
-            self.nodes[p.index()].control(),
+        self.client_of(|_| p)
+    }
+
+    /// A client submitting shard `s`'s commands at node `proxy(s)`.
+    fn client_of(&self, proxy: impl Fn(u32) -> ProcessId) -> ProxyClient<V> {
+        let targets = (0..self.shards() as u32)
+            .map(|s| {
+                let p = proxy(s);
+                (p, self.nodes[p.index()].control())
+            })
+            .collect();
+        ProxyClient::sharded(
+            Arc::new(targets),
+            Arc::clone(&self.route),
             Arc::clone(&self.shared),
             self.obs.clone(),
         )
     }
 
-    /// Crashes node `p`: it stops participating immediately.
+    /// Crashes node `p`: every group loses its replica at `p` at once —
+    /// the physical-node failure model.
     pub fn crash(&mut self, p: ProcessId) {
         self.nodes[p.index()].crash();
     }
 
-    /// The first decision of `p` observed so far, without blocking.
-    pub fn decision_of(&self, p: ProcessId) -> Option<V> {
-        self.shared.first_decision(0, p).map(|(v, _)| v)
+    /// The first decision of `(shard, p)` observed so far, without
+    /// blocking.
+    pub fn decision_of(&self, shard: u32, p: ProcessId) -> Option<V> {
+        self.shared.first_decision(shard, p).map(|(v, _)| v)
     }
 
-    /// Waits until `p` decides or `timeout` elapses; returns the value.
-    pub fn await_decision(&self, p: ProcessId, timeout: WallDuration) -> Option<V> {
+    /// All first decisions of `shard`, by process.
+    pub fn shard_decisions(&self, shard: u32) -> Vec<Option<V>> {
+        self.shared.shard_decisions(shard)
+    }
+
+    /// Whether every shard's observed first decisions agree — Agreement
+    /// holds per group; values across groups legitimately differ.
+    pub fn agreement(&self) -> bool {
+        (0..self.shards() as u32).all(|s| {
+            let decisions = self.shard_decisions(s);
+            let mut iter = decisions.iter().flatten();
+            iter.next().is_none_or(|first| iter.all(|v| v == first))
+        })
+    }
+
+    /// Waits until `(shard, p)` decides or `timeout` elapses; returns
+    /// the value.
+    pub fn await_decision(&self, shard: u32, p: ProcessId, timeout: WallDuration) -> Option<V> {
         // Subscribe before checking the cache so an event landing in
         // between is seen either way (no lost wakeup).
         let rx = self.shared.subscribe();
-        if let Some(v) = self.decision_of(p) {
+        if let Some(v) = self.decision_of(shard, p) {
             return Some(v);
         }
         let deadline = Instant::now() + timeout;
@@ -444,49 +331,10 @@ impl<V: Value> Cluster<V> {
                 return None;
             }
             match rx.recv_timeout(deadline - now) {
-                Ok((q, _, v, _)) if q == p => return Some(v),
+                Ok((q, s, v, _)) if q == p && s == shard => return Some(v),
                 Ok(_) => {}
                 Err(_) => return None,
             }
-        }
-    }
-
-    /// Waits until every process in `who` has decided; returns whether
-    /// that happened before the timeout.
-    pub fn await_decisions(
-        &self,
-        who: impl IntoIterator<Item = ProcessId>,
-        timeout: WallDuration,
-    ) -> bool {
-        let deadline = Instant::now() + timeout;
-        who.into_iter().all(|p| {
-            let now = Instant::now();
-            if now >= deadline {
-                return self.decision_of(p).is_some();
-            }
-            self.await_decision(p, deadline - now).is_some()
-        })
-    }
-
-    /// The decision latency of `p` relative to cluster start, if decided.
-    pub fn decision_latency(&self, p: ProcessId) -> Option<WallDuration> {
-        self.shared
-            .first_decision(0, p)
-            .map(|(_, at)| at.duration_since(self.started))
-    }
-
-    /// All first decisions observed so far, by process.
-    pub fn decisions(&self) -> Vec<Option<V>> {
-        self.shared.shard_decisions(0)
-    }
-
-    /// Whether all observed decisions agree on a single value.
-    pub fn agreement(&self) -> bool {
-        let decisions = self.decisions();
-        let mut iter = decisions.iter().flatten();
-        match iter.next() {
-            None => true,
-            Some(first) => iter.all(|v| v == first),
         }
     }
 }
@@ -494,8 +342,10 @@ impl<V: Value> Cluster<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClusterBuilder;
     use serde::{Deserialize, Serialize};
-    use twostep_types::protocol::{Effects, TimerId};
+    use twostep_types::protocol::{Effects, Protocol, TimerId};
+    use twostep_types::ProtocolKind;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -537,58 +387,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn in_memory_cluster_propagates_decision() {
+    /// A one-group cluster of `Relay`s over `builder`'s transport.
+    fn relay_cluster(builder: impl FnOnce(ClusterBuilder) -> ClusterBuilder) -> Cluster<u64> {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
         let n = cfg.n();
-        let cluster = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        });
-        cluster.propose(p(1), 55);
-        assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(5)));
-        assert_eq!(cluster.decisions(), vec![Some(55), Some(55), Some(55)]);
+        builder(ClusterBuilder::new(cfg).wall_delta(WallDuration::from_millis(10)))
+            .build(|q| Relay {
+                me: q,
+                n,
+                decided: None,
+            })
+            .expect("cluster build")
+    }
+
+    #[test]
+    fn in_memory_cluster_propagates_decision() {
+        let cluster = relay_cluster(|b| b);
+        cluster.proxy_client(p(1)).propose(55);
+        for q in cluster.config().process_ids() {
+            assert_eq!(
+                cluster.await_decision(0, q, WallDuration::from_secs(5)),
+                Some(55)
+            );
+        }
+        assert_eq!(cluster.shard_decisions(0), vec![Some(55); 3]);
         assert!(cluster.agreement());
-        assert!(cluster.decision_latency(p(1)).is_some());
     }
 
     #[test]
     fn crash_is_silent() {
-        let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
-        let n = cfg.n();
-        let mut cluster = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        });
+        let mut cluster = relay_cluster(|b| b);
         cluster.crash(p(0));
-        cluster.propose(p(0), 1); // swallowed
+        cluster.proxy_client(p(0)).propose(1); // swallowed
         assert_eq!(
-            cluster.await_decision(p(1), WallDuration::from_millis(300)),
+            cluster.await_decision(0, p(1), WallDuration::from_millis(300)),
             None
         );
-        cluster.propose(p(1), 2);
+        cluster.proxy_client(p(1)).propose(2);
         assert_eq!(
-            cluster.await_decision(p(2), WallDuration::from_secs(5)),
+            cluster.await_decision(0, p(2), WallDuration::from_secs(5)),
             Some(2)
         );
-        assert_eq!(cluster.decision_of(p(0)), None);
+        assert_eq!(cluster.decision_of(0, p(0)), None);
     }
 
     #[test]
     fn proxy_client_sees_own_proxy_decisions() {
-        let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
-        let n = cfg.n();
-        let cluster = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        });
+        let cluster = relay_cluster(|b| b);
         let client = cluster.proxy_client(p(1));
         let latency = client.submit_and_wait(61, WallDuration::from_secs(5));
         assert!(latency.is_some(), "client never saw its command commit");
-        assert_eq!(cluster.decision_of(p(1)), Some(61));
+        assert_eq!(cluster.decision_of(0, p(1)), Some(61));
     }
 
     // The (shard, value) waiter key is what keeps groups isolated at the
@@ -666,17 +515,14 @@ mod tests {
 
     #[test]
     fn tcp_cluster_end_to_end() {
-        let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
-        let n = cfg.n();
-        let cluster = Cluster::tcp(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        })
-        .expect("tcp cluster");
-        cluster.propose(p(2), 77);
-        assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(10)));
+        let cluster = relay_cluster(ClusterBuilder::tcp);
+        cluster.proxy_client(p(2)).propose(77);
+        for q in cluster.config().process_ids() {
+            assert_eq!(
+                cluster.await_decision(0, q, WallDuration::from_secs(10)),
+                Some(77)
+            );
+        }
         assert!(cluster.agreement());
-        assert_eq!(cluster.decision_of(p(0)), Some(77));
     }
 }

@@ -40,6 +40,13 @@ pub enum CodecError {
     NotSelfDescribing,
     /// Error bubbled up from a `Serialize`/`Deserialize` impl.
     Custom(String),
+    /// A frame or shard envelope did not begin with its magic word.
+    BadMagic,
+    /// A wire length prefix exceeded [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN).
+    FrameTooLong {
+        /// The advertised length.
+        len: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -56,6 +63,8 @@ impl fmt::Display for CodecError {
                 write!(f, "this format is not self-describing")
             }
             CodecError::Custom(msg) => f.write_str(msg),
+            CodecError::BadMagic => write!(f, "missing frame or shard magic"),
+            CodecError::FrameTooLong { len } => write!(f, "{len}-byte frame exceeds the limit"),
         }
     }
 }
@@ -103,27 +112,21 @@ pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
     }
 }
 
-/// Tag identifying a *coalesced* frame: one transport payload carrying
-/// many encoded messages (see [`pack_frame`]).
+/// Tag opening every transport payload: a frame carrying one or more
+/// encoded messages (see [`pack_frame`]).
 ///
-/// The value is reserved by construction: every message this workspace
-/// puts on the wire is a serde enum (`SmrMsg`, protocol `Msg`, the test
-/// protocols), and the codec above encodes enums as a little-endian
-/// `u32` *variant index* first. Variant indices are tiny (single
-/// digits), so a legacy single-message payload can never begin with
-/// this 32-bit pattern — which is what lets [`unpack_frame`] dispatch
-/// on the first four bytes and keep backward compatibility with peers
-/// that still write one message per transport frame.
+/// Every backend ships every payload in this layout, however many
+/// messages it carries, so a receiver has one format to parse. A
+/// payload that does not begin with the magic is malformed and dropped.
 pub const FRAME_MAGIC: u32 = 0xC0A1_E5CE;
 
-/// Packs `payloads` (each one encoded message) into a single coalesced
-/// frame:
+/// Packs `payloads` (each one encoded message) into a single frame:
 ///
 /// ```text
 /// [FRAME_MAGIC: u32 LE][count: u32 LE] ([len: u32 LE][payload bytes])*
 /// ```
 ///
-/// The inverse is [`unpack_frame`]. Transports use this so one syscall
+/// The inverse is [`frame_messages`]. Transports use this so one syscall
 /// (or one in-memory channel send) can carry a whole flush of messages.
 ///
 /// # Panics
@@ -144,83 +147,24 @@ pub fn pack_frame(payloads: &[bytes::Bytes]) -> bytes::Bytes {
     bytes::Bytes::from(out)
 }
 
-/// Splits a transport payload into its constituent message payloads.
-///
-/// A payload beginning with [`FRAME_MAGIC`] is parsed as a coalesced
-/// frame; anything else is a legacy single-message payload and is
-/// returned as-is in a one-element vector, so old and new senders
-/// interoperate.
-///
-/// # Errors
-///
-/// Returns [`CodecError::UnexpectedEof`] if a coalesced frame is
-/// truncated mid-header or mid-payload, and
-/// [`CodecError::TrailingBytes`] if bytes remain after the advertised
-/// message count.
-pub fn unpack_frame(payload: &bytes::Bytes) -> Result<Vec<bytes::Bytes>, CodecError> {
-    let buf: &[u8] = payload;
-    let is_framed = buf.len() >= 4 && buf[..4] == FRAME_MAGIC.to_le_bytes();
-    if !is_framed {
-        return Ok(vec![payload.clone()]);
-    }
-    let mut rest = &buf[4..];
-    let take4 = |rest: &mut &[u8]| -> Result<u32, CodecError> {
-        if rest.len() < 4 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (head, tail) = rest.split_at(4);
-        *rest = tail;
-        Ok(u32::from_le_bytes(head.try_into().expect("exact length")))
-    };
-    let count = take4(&mut rest)?;
-    let mut msgs = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let len = take4(&mut rest)? as usize;
-        if rest.len() < len {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (head, tail) = rest.split_at(len);
-        // The vendored `Bytes` has no zero-copy `slice`; copying the
-        // sub-payload out is the supported extraction path.
-        msgs.push(bytes::Bytes::from(head.to_vec()));
-        rest = tail;
-    }
-    if rest.is_empty() {
-        Ok(msgs)
-    } else {
-        Err(CodecError::TrailingBytes {
-            remaining: rest.len(),
-        })
-    }
-}
-
 /// Validates a transport payload and returns a borrowing iterator over
-/// its constituent message payloads — the allocation-free counterpart
-/// of [`unpack_frame`], used on the hot receive path (the runtime node
-/// and the reactor transport dispatch messages straight out of the
-/// buffer they were read into).
+/// its messages, used on the receive path: the runtime node dispatches
+/// messages straight out of the buffer they were read into, with no
+/// allocation per message.
 ///
-/// A payload beginning with [`FRAME_MAGIC`] is walked as a coalesced
-/// frame; anything else is a legacy single-message payload yielded
-/// as-is. The whole frame is validated *before* the iterator is
-/// returned, so iteration itself cannot fail and a malformed frame is
-/// rejected without delivering a prefix of its messages.
+/// The whole frame is validated *before* the iterator is returned, so
+/// iteration itself cannot fail and a malformed frame is rejected
+/// without delivering a prefix of its messages.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::UnexpectedEof`] if a coalesced frame is
+/// Returns [`CodecError::BadMagic`] if the payload does not begin with
+/// [`FRAME_MAGIC`], [`CodecError::UnexpectedEof`] if the frame is
 /// truncated mid-header or mid-payload, and
 /// [`CodecError::TrailingBytes`] if bytes remain after the advertised
 /// message count.
 pub fn frame_messages(payload: &[u8]) -> Result<FrameMessages<'_>, CodecError> {
-    let is_framed = payload.len() >= 4 && payload[..4] == FRAME_MAGIC.to_le_bytes();
-    if !is_framed {
-        return Ok(FrameMessages {
-            rest: &[],
-            remaining: 0,
-            legacy: Some(payload),
-        });
-    }
+    let mut rest = strip_magic(payload, FRAME_MAGIC)?;
     // Validation walk: confirm every advertised sub-payload is present
     // and nothing trails, without materializing anything.
     let take4 = |rest: &mut &[u8]| -> Result<u32, CodecError> {
@@ -231,7 +175,6 @@ pub fn frame_messages(payload: &[u8]) -> Result<FrameMessages<'_>, CodecError> {
         *rest = tail;
         Ok(u32::from_le_bytes(head.try_into().expect("exact length")))
     };
-    let mut rest = &payload[4..];
     let count = take4(&mut rest)?;
     let body = rest;
     for _ in 0..count {
@@ -249,26 +192,29 @@ pub fn frame_messages(payload: &[u8]) -> Result<FrameMessages<'_>, CodecError> {
     Ok(FrameMessages {
         rest: body,
         remaining: count,
-        legacy: None,
     })
 }
 
-/// Borrowing iterator over the messages of a validated transport
-/// payload; see [`frame_messages`].
+/// `payload` past its leading `magic` word.
+fn strip_magic(payload: &[u8], magic: u32) -> Result<&[u8], CodecError> {
+    match payload.split_at_checked(4) {
+        Some((head, rest)) if head == magic.to_le_bytes() => Ok(rest),
+        _ => Err(CodecError::BadMagic),
+    }
+}
+
+/// Borrowing iterator over the messages of a validated frame; see
+/// [`frame_messages`].
 #[derive(Debug, Clone)]
 pub struct FrameMessages<'a> {
     rest: &'a [u8],
     remaining: u32,
-    legacy: Option<&'a [u8]>,
 }
 
 impl<'a> Iterator for FrameMessages<'a> {
     type Item = &'a [u8];
 
     fn next(&mut self) -> Option<&'a [u8]> {
-        if let Some(whole) = self.legacy.take() {
-            return Some(whole);
-        }
         if self.remaining == 0 {
             return None;
         }
@@ -282,7 +228,7 @@ impl<'a> Iterator for FrameMessages<'a> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining as usize + usize::from(self.legacy.is_some());
+        let n = self.remaining as usize;
         (n, Some(n))
     }
 }
@@ -390,35 +336,38 @@ impl FrameAssembler {
         self.start += n;
         // Fully drained: rewind so the next read starts at the front
         // without a copy_within. The returned slice is untouched.
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-        }
+        self.rewind_if_empty();
         Some(&self.buf[slice_start..slice_start + n])
     }
 
     /// Consumes and returns the next complete `[len][payload]` frame's
     /// payload, or `None` if only a partial frame is buffered.
-    pub fn next_frame(&mut self) -> Option<&[u8]> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::FrameTooLong`] when the buffered length
+    /// prefix exceeds [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN); the
+    /// stream's framing cannot be trusted past it, so the caller closes
+    /// the connection rather than buffer up to 4 GiB.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
         if self.buffered() < 4 {
             self.rewind_if_empty();
-            return None;
+            return Ok(None);
         }
         let head: [u8; 4] = self.buf[self.start..self.start + 4]
             .try_into()
             .expect("exact length");
         let len = u32::from_le_bytes(head) as usize;
+        if len > crate::MAX_FRAME_LEN {
+            return Err(CodecError::FrameTooLong { len });
+        }
         if self.buffered() - 4 < len {
-            return None;
+            return Ok(None);
         }
         let payload_start = self.start + 4;
         self.start = payload_start + len;
-        let (start, end) = (self.start, self.end);
-        if start == end {
-            self.start = 0;
-            self.end = 0;
-        }
-        Some(&self.buf[payload_start..payload_start + len])
+        self.rewind_if_empty();
+        Ok(Some(&self.buf[payload_start..payload_start + len]))
     }
 
     fn rewind_if_empty(&mut self) {
@@ -429,16 +378,12 @@ impl FrameAssembler {
     }
 }
 
-/// Tag identifying a *shard-addressed* payload: one encoded message
-/// prefixed with the consensus group (shard) it belongs to (see
+/// Tag opening every message inside a frame: the shard envelope naming
+/// the consensus group (shard) the message belongs to (see
 /// [`tag_shard`]).
 ///
-/// Reserved by the same argument as [`FRAME_MAGIC`]: every wire message
-/// is a serde enum whose encoding begins with a tiny little-endian
-/// `u32` variant index, so an untagged payload can never start with
-/// this pattern. [`split_shard`] exploits that to treat untagged
-/// payloads as shard 0 traffic, keeping single-group deployments and
-/// old peers on the zero-overhead legacy wire format.
+/// Every message is enveloped, including on a one-shard cluster, so a
+/// message without the magic is malformed and dropped.
 pub const SHARD_MAGIC: u32 = 0xC0A1_E5CF;
 
 /// Wraps one encoded message payload in a shard envelope:
@@ -447,10 +392,10 @@ pub const SHARD_MAGIC: u32 = 0xC0A1_E5CF;
 /// [SHARD_MAGIC: u32 LE][shard: u32 LE][payload bytes]
 /// ```
 ///
-/// The inverse is [`split_shard`]. Sharded nodes tag each message with
-/// its group before handing it to the transport; the envelope nests
-/// *inside* coalesced frames (tag first, [`pack_frame`] second), so one
-/// transport frame can interleave traffic for many shards.
+/// The inverse is [`split_shard_ref`]. Nodes tag each message with its
+/// group before handing it to the transport; the envelope nests
+/// *inside* frames (tag first, [`pack_frame`] second), so one transport
+/// frame can interleave traffic for many shards.
 pub fn tag_shard(shard: u32, payload: &bytes::Bytes) -> bytes::Bytes {
     let mut out = Vec::with_capacity(8 + payload.len());
     out.extend_from_slice(&SHARD_MAGIC.to_le_bytes());
@@ -459,51 +404,22 @@ pub fn tag_shard(shard: u32, payload: &bytes::Bytes) -> bytes::Bytes {
     bytes::Bytes::from(out)
 }
 
-/// Splits a message payload into its shard id and inner payload.
-///
-/// A payload beginning with [`SHARD_MAGIC`] is parsed as a shard
-/// envelope; anything else is a legacy untagged payload and is
-/// attributed to shard 0, so unsharded senders interoperate with
-/// sharded receivers.
+/// Splits a shard envelope into its shard id and a slice of the inner
+/// payload, without copying: the node deserializes the protocol message
+/// straight out of the returned slice.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::UnexpectedEof`] if a tagged payload is
-/// truncated before the shard id completes.
-pub fn split_shard(payload: &bytes::Bytes) -> Result<(u32, bytes::Bytes), CodecError> {
-    let buf: &[u8] = payload;
-    let is_tagged = buf.len() >= 4 && buf[..4] == SHARD_MAGIC.to_le_bytes();
-    if !is_tagged {
-        return Ok((0, payload.clone()));
-    }
-    // The vendored `Bytes` has no zero-copy `slice`; copying the inner
-    // payload out is the supported extraction path.
-    let (shard, inner) = split_shard_ref(buf)?;
-    Ok((shard, bytes::Bytes::from(inner.to_vec())))
-}
-
-/// Borrowing variant of [`split_shard`]: splits a message payload into
-/// its shard id and a slice of the inner payload without copying.
-///
-/// This is the hot-path form — the node deserializes the protocol
-/// message straight out of the returned slice, so dispatch of a shard-
-/// tagged message performs no allocation in the codec. Untagged
-/// payloads are attributed to shard 0, exactly as in [`split_shard`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::UnexpectedEof`] if a tagged payload is
+/// Returns [`CodecError::BadMagic`] if the payload does not begin with
+/// [`SHARD_MAGIC`], and [`CodecError::UnexpectedEof`] if it is
 /// truncated before the shard id completes.
 pub fn split_shard_ref(payload: &[u8]) -> Result<(u32, &[u8]), CodecError> {
-    let is_tagged = payload.len() >= 4 && payload[..4] == SHARD_MAGIC.to_le_bytes();
-    if !is_tagged {
-        return Ok((0, payload));
-    }
-    if payload.len() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let shard = u32::from_le_bytes(payload[4..8].try_into().expect("exact length"));
-    Ok((shard, &payload[8..]))
+    let rest = strip_magic(payload, SHARD_MAGIC)?;
+    let (shard, inner) = rest.split_at_checked(4).ok_or(CodecError::UnexpectedEof)?;
+    Ok((
+        u32::from_le_bytes(shard.try_into().expect("exact length")),
+        inner,
+    ))
 }
 
 struct Encoder<'a> {
@@ -1117,137 +1033,38 @@ mod tests {
         assert_eq!(err, CodecError::InvalidUtf8);
     }
 
+    fn frame_bodies(frame: &[u8]) -> Vec<&[u8]> {
+        frame_messages(frame).unwrap().collect()
+    }
+
     #[test]
     fn frame_roundtrips_many_messages() {
         let payloads: Vec<bytes::Bytes> = (0..5u64)
             .map(|i| bytes::Bytes::from(to_bytes(&(i, format!("msg{i}"))).unwrap()))
             .collect();
         let frame = pack_frame(&payloads);
-        let back = unpack_frame(&frame).unwrap();
-        assert_eq!(back, payloads);
+        assert_eq!(frame_messages(&frame).unwrap().len(), payloads.len());
+        let owned: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
+        assert_eq!(frame_bodies(&frame), owned);
     }
 
     #[test]
     fn frame_roundtrips_empty_and_single() {
-        assert_eq!(
-            unpack_frame(&pack_frame(&[])).unwrap(),
-            Vec::<bytes::Bytes>::new()
-        );
+        assert!(frame_bodies(&pack_frame(&[])).is_empty());
         let one = bytes::Bytes::from(to_bytes(&7u64).unwrap());
-        assert_eq!(
-            unpack_frame(&pack_frame(std::slice::from_ref(&one))).unwrap(),
-            vec![one]
-        );
+        let frame = pack_frame(std::slice::from_ref(&one));
+        assert_eq!(frame_bodies(&frame), vec![&one[..]]);
     }
 
     #[test]
-    fn legacy_single_message_passes_through() {
-        // An enum-first payload starts with a small variant index, never
-        // the magic, so it is returned untouched.
-        let legacy = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
-        assert_eq!(unpack_frame(&legacy).unwrap(), vec![legacy.clone()]);
-        // Even degenerate short payloads are treated as legacy.
-        let short = bytes::Bytes::from(vec![1u8, 2]);
-        assert_eq!(unpack_frame(&short).unwrap(), vec![short.clone()]);
-    }
-
-    #[test]
-    fn truncated_frame_rejected() {
-        let payloads = vec![bytes::Bytes::from(vec![9u8; 32])];
-        let frame = pack_frame(&payloads);
-        for cut in [5, 8, 10, frame.len() - 1] {
-            let truncated = bytes::Bytes::from(frame[..cut].to_vec());
-            assert_eq!(
-                unpack_frame(&truncated).unwrap_err(),
-                CodecError::UnexpectedEof,
-                "cut at {cut}"
-            );
+    fn unframed_payloads_rejected() {
+        // A bare message, a bare shard envelope, and degenerate short
+        // and empty payloads all lack the frame magic.
+        let bare = to_bytes(&Sample::Newtype(7)).unwrap();
+        let tagged = tag_shard(0, &bytes::Bytes::from(bare.clone()));
+        for payload in [&bare[..], &tagged[..], &[1u8, 2], &[]] {
+            assert_eq!(frame_messages(payload).unwrap_err(), CodecError::BadMagic);
         }
-    }
-
-    #[test]
-    fn frame_trailing_bytes_rejected() {
-        let mut raw = pack_frame(&[bytes::Bytes::from(vec![1u8, 2, 3])]).to_vec();
-        raw.push(0xAA);
-        let err = unpack_frame(&bytes::Bytes::from(raw)).unwrap_err();
-        assert_eq!(err, CodecError::TrailingBytes { remaining: 1 });
-    }
-
-    #[test]
-    fn shard_tag_roundtrips() {
-        let inner = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
-        for shard in [0u32, 1, 7, u32::MAX] {
-            let tagged = tag_shard(shard, &inner);
-            assert_eq!(split_shard(&tagged).unwrap(), (shard, inner.clone()));
-        }
-    }
-
-    #[test]
-    fn untagged_payload_maps_to_shard_zero() {
-        let legacy = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
-        assert_eq!(split_shard(&legacy).unwrap(), (0, legacy.clone()));
-        let short = bytes::Bytes::from(vec![3u8]);
-        assert_eq!(split_shard(&short).unwrap(), (0, short.clone()));
-        let empty = bytes::Bytes::from(Vec::new());
-        assert_eq!(split_shard(&empty).unwrap(), (0, empty.clone()));
-    }
-
-    #[test]
-    fn truncated_shard_tag_rejected() {
-        let tagged = tag_shard(3, &bytes::Bytes::from(vec![9u8; 8]));
-        for cut in [4, 5, 7] {
-            let truncated = bytes::Bytes::from(tagged[..cut].to_vec());
-            assert_eq!(
-                split_shard(&truncated).unwrap_err(),
-                CodecError::UnexpectedEof,
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_tags_nest_inside_coalesced_frames() {
-        let a = tag_shard(0, &bytes::Bytes::from(to_bytes(&1u64).unwrap()));
-        let b = tag_shard(5, &bytes::Bytes::from(to_bytes(&2u64).unwrap()));
-        let frame = pack_frame(&[a.clone(), b.clone()]);
-        let back = unpack_frame(&frame).unwrap();
-        assert_eq!(back, vec![a, b]);
-        let shards: Vec<u32> = back.iter().map(|p| split_shard(p).unwrap().0).collect();
-        assert_eq!(shards, vec![0, 5]);
-    }
-
-    #[test]
-    fn encoding_is_compact() {
-        // A u64 is exactly 8 bytes; an Option<u64> 9; a small enum
-        // variant 4 (+payload).
-        assert_eq!(to_bytes(&1u64).unwrap().len(), 8);
-        assert_eq!(to_bytes(&Some(1u64)).unwrap().len(), 9);
-        assert_eq!(to_bytes(&Sample::Unit).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn frame_messages_matches_unpack_frame() {
-        let payloads: Vec<bytes::Bytes> = (0..5u64)
-            .map(|i| bytes::Bytes::from(to_bytes(&(i, format!("msg{i}"))).unwrap()))
-            .collect();
-        let frame = pack_frame(&payloads);
-        let iter = frame_messages(&frame).unwrap();
-        assert_eq!(iter.len(), payloads.len());
-        let borrowed: Vec<&[u8]> = iter.collect();
-        let owned: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
-        assert_eq!(borrowed, owned);
-        // Empty frame.
-        assert_eq!(frame_messages(&pack_frame(&[])).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn frame_messages_legacy_passthrough() {
-        let legacy = to_bytes(&Sample::Newtype(7)).unwrap();
-        let msgs: Vec<&[u8]> = frame_messages(&legacy).unwrap().collect();
-        assert_eq!(msgs, vec![&legacy[..]]);
-        // Degenerate short and empty payloads are legacy too.
-        assert_eq!(frame_messages(&[1u8, 2]).unwrap().count(), 1);
-        assert_eq!(frame_messages(&[]).unwrap().next(), Some(&[][..]));
     }
 
     #[test]
@@ -1269,23 +1086,52 @@ mod tests {
     }
 
     #[test]
-    fn split_shard_ref_matches_split_shard() {
+    fn shard_tag_roundtrips() {
         let inner = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
         for shard in [0u32, 1, 7, u32::MAX] {
             let tagged = tag_shard(shard, &inner);
             assert_eq!(split_shard_ref(&tagged).unwrap(), (shard, &inner[..]));
         }
-        let legacy = to_bytes(&Sample::Unit).unwrap();
-        assert_eq!(split_shard_ref(&legacy).unwrap(), (0, &legacy[..]));
-        assert_eq!(split_shard_ref(&[]).unwrap(), (0, &[][..]));
-        let tagged = tag_shard(3, &inner);
-        for cut in [4, 5, 7] {
+    }
+
+    #[test]
+    fn untagged_payloads_rejected() {
+        let bare = to_bytes(&Sample::Newtype(7)).unwrap();
+        for payload in [&bare[..], &[3u8], &[]] {
+            assert_eq!(split_shard_ref(payload).unwrap_err(), CodecError::BadMagic);
+        }
+    }
+
+    #[test]
+    fn truncated_shard_tag_rejected() {
+        let tagged = tag_shard(3, &bytes::Bytes::from(vec![9u8; 8]));
+        for cut in [5, 7] {
             assert_eq!(
                 split_shard_ref(&tagged[..cut]).unwrap_err(),
                 CodecError::UnexpectedEof,
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn shard_tags_nest_inside_coalesced_frames() {
+        let a = tag_shard(0, &bytes::Bytes::from(to_bytes(&1u64).unwrap()));
+        let b = tag_shard(5, &bytes::Bytes::from(to_bytes(&2u64).unwrap()));
+        let frame = pack_frame(&[a.clone(), b.clone()]);
+        let back = frame_bodies(&frame);
+        assert_eq!(back, vec![&a[..], &b[..]]);
+        let shards: Vec<u32> = back.iter().map(|p| split_shard_ref(p).unwrap().0).collect();
+        assert_eq!(shards, vec![0, 5]);
+    }
+
+    #[test]
+    fn encoding_is_compact() {
+        // A u64 is exactly 8 bytes; an Option<u64> 9; a small enum
+        // variant 4 (+payload).
+        assert_eq!(to_bytes(&1u64).unwrap().len(), 8);
+        assert_eq!(to_bytes(&Some(1u64)).unwrap().len(), 9);
+        assert_eq!(to_bytes(&Sample::Unit).unwrap().len(), 4);
     }
 
     /// Drives a [`FrameAssembler`] with `wire` split into `chunk`-sized
@@ -1296,7 +1142,7 @@ mod tests {
             let slot = asm.read_slot(piece.len());
             slot[..piece.len()].copy_from_slice(piece);
             asm.commit(piece.len());
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 out.push(frame.to_vec());
             }
         }
@@ -1362,7 +1208,7 @@ mod tests {
                 }
                 continue;
             }
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 frames.push(frame.to_vec());
             }
         }
@@ -1388,5 +1234,26 @@ mod tests {
             .map(|m| split_shard_ref(m).unwrap().0)
             .collect();
         assert_eq!(shards, vec![2, 5]);
+    }
+
+    #[test]
+    fn assembler_rejects_length_prefix_beyond_the_frame_bound() {
+        let mut asm = FrameAssembler::with_capacity(8);
+        let prefix = u32::try_from(crate::MAX_FRAME_LEN + 1).unwrap();
+        let slot = asm.read_slot(4);
+        slot[..4].copy_from_slice(&prefix.to_le_bytes());
+        asm.commit(4);
+        assert_eq!(
+            asm.next_frame().unwrap_err(),
+            CodecError::FrameTooLong {
+                len: crate::MAX_FRAME_LEN + 1
+            }
+        );
+        // A prefix at the bound is a legitimate (partial) frame.
+        let mut asm = FrameAssembler::with_capacity(8);
+        let slot = asm.read_slot(4);
+        slot[..4].copy_from_slice(&(prefix - 1).to_le_bytes());
+        asm.commit(4);
+        assert_eq!(asm.next_frame(), Ok(None));
     }
 }

@@ -11,26 +11,25 @@
 //!   length-prefixed frames over localhost or the network) and
 //!   [`ReactorTransport`] (one non-blocking event-loop thread owning
 //!   every socket, vectored writes, reusable read buffers).
-//! * [`node`] — one protocol instance per thread: an event loop
-//!   multiplexing network traffic, client proposals and wall-clock
-//!   timers (protocol timer delays are virtual `Δ` units scaled by a
-//!   configurable wall-clock `Δ`).
-//! * [`Cluster`] — spawns `n` nodes, wires the transport, and exposes
-//!   the client's view: `propose` at a proxy, await decisions, observe
-//!   latency, crash nodes.
-//! * [`ClusterBuilder`] — the one fluent construction path (transport
-//!   choice, observer, batching/pipeline knobs), including
-//!   batteries-included SMR deployments via
-//!   [`ClusterBuilder::build_smr`].
-//! * [`ProxyClient`] — a closed-loop client bound to one proxy:
+//!   Every payload on every backend is one [`codec::pack_frame`]
+//!   frame of [`codec::tag_shard`]-enveloped messages.
+//! * A node — one OS thread per process hosting one protocol instance
+//!   per consensus group: an event loop multiplexing network traffic,
+//!   client proposals and wall-clock timers (protocol timer delays are
+//!   virtual `Δ` units scaled by a configurable wall-clock `Δ`).
+//! * [`Cluster`] — `n` nodes × `k` hash-partitioned consensus groups
+//!   over one transport (round-robin group leaders, a
+//!   `(shard, value)`-keyed waiter registry); a one-group deployment is
+//!   the `k = 1` case. It exposes the client's view: clients, awaited
+//!   decisions per `(shard, process)`, crashes.
+//! * [`ClusterBuilder`] — the one construction path (transport choice,
+//!   emulated link latency, observer, batching/pipeline/shard knobs),
+//!   including batteries-included SMR deployments via
+//!   [`ClusterBuilder::build_smr`] and
+//!   [`ClusterBuilder::build_sharded_smr`].
+//! * [`ProxyClient`] — a closed-loop client with one proxy per group:
 //!   submit a command, wait for its commit, measure per-command
 //!   (amortized) latency.
-//! * [`ShardedCluster`] — hash-partitioned deployments: `k` independent
-//!   consensus groups multiplexed over the same nodes and transport
-//!   (shard-tagged wire envelopes, round-robin group leaders, a
-//!   `(shard, value)`-keyed waiter registry), built via
-//!   [`ClusterBuilder::shards`] +
-//!   [`ClusterBuilder::build_sharded_smr`].
 //!
 //! Design note: the runtime deliberately contains *no protocol logic* —
 //! crash injection is thread shutdown, timeouts are the protocol's own
@@ -44,17 +43,18 @@ mod builder;
 mod cluster;
 pub mod codec;
 mod error;
-pub mod node;
+mod node;
 mod proxy;
 mod reactor;
 pub mod shard;
 mod transport;
 
 pub use builder::ClusterBuilder;
-pub use cluster::Cluster;
+pub use cluster::{Cluster, ShardedCluster};
 pub use error::RuntimeError;
-pub use node::{Control, NodeHandle, NodeOptions};
 pub use proxy::ProxyClient;
 pub use reactor::ReactorTransport;
-pub use shard::{fnv1a64, ShardRouter, ShardedCluster};
-pub use transport::{InMemoryTransport, TcpTransport, Transport, MAX_COALESCE, RECONNECT_BACKOFF};
+pub use shard::{fnv1a64, ShardRouter};
+pub use transport::{
+    InMemoryTransport, TcpTransport, Transport, MAX_COALESCE, MAX_FRAME_LEN, RECONNECT_BACKOFF,
+};

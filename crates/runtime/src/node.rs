@@ -1,4 +1,5 @@
-//! One protocol instance on one OS thread.
+//! One node per OS thread, hosting one protocol instance per consensus
+//! group.
 
 use std::collections::HashMap;
 use std::thread::{self, JoinHandle};
@@ -11,18 +12,16 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::{ProcessId, Value, DELTA};
 
+use crate::cluster::DecideEvent;
 use crate::codec;
 use crate::transport::Transport;
 
 /// Control events a node accepts besides network traffic.
 #[derive(Debug)]
-pub enum Control<V> {
-    /// A client proposal submitted at this node (the *proxy* role from
-    /// the paper's introduction). Routed to shard 0 — the only shard on
-    /// an unsharded node.
-    Propose(V),
-    /// A client proposal addressed to a specific consensus group on a
-    /// sharded node. `ProposeAt(0, v)` is equivalent to `Propose(v)`.
+pub(crate) enum Control<V> {
+    /// A client proposal addressed to one consensus group (shard) of
+    /// this node — the *proxy* role from the paper's introduction.
+    /// Proposals to shards the node does not host are dropped.
     ProposeAt(u32, V),
     /// Stop the node immediately — models a crash (no clean handover).
     Shutdown,
@@ -30,29 +29,12 @@ pub enum Control<V> {
 
 /// Handle to a spawned node.
 #[derive(Debug)]
-pub struct NodeHandle<V> {
-    id: ProcessId,
+pub(crate) struct NodeHandle<V> {
     control: Sender<Control<V>>,
     join: Option<JoinHandle<()>>,
 }
 
 impl<V> NodeHandle<V> {
-    /// The node's process id.
-    pub fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    /// Submits a client proposal; silently dropped if the node crashed.
-    pub fn propose(&self, value: V) {
-        let _ = self.control.send(Control::Propose(value));
-    }
-
-    /// Submits a client proposal to a specific shard of a sharded node;
-    /// silently dropped if the node crashed or the shard is not hosted.
-    pub fn propose_at(&self, shard: u32, value: V) {
-        let _ = self.control.send(Control::ProposeAt(shard, value));
-    }
-
     /// A clone of the control channel, for client handles that outlive
     /// borrows of the node (see `ProxyClient`).
     pub(crate) fn control(&self) -> Sender<Control<V>> {
@@ -60,132 +42,54 @@ impl<V> NodeHandle<V> {
     }
 
     /// Crashes the node: it stops processing immediately.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         let _ = self.control.send(Control::Shutdown);
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
-    }
-
-    /// Whether the node thread has been shut down via this handle.
-    pub fn is_crashed(&self) -> bool {
-        self.join.is_none()
     }
 }
 
 impl<V> Drop for NodeHandle<V> {
     fn drop(&mut self) {
-        let _ = self.control.send(Control::Shutdown);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+        self.crash();
     }
 }
 
-/// Engine-level options for [`spawn_node`] / [`spawn_sharded_node`].
-///
-/// * `wall_delta` — the wall-clock duration of one `Δ`; protocol timer
-///   delays (expressed in virtual units where `Δ` = [`DELTA`]) are
-///   scaled by `wall_delta / Δ`. Defaults to 10ms.
-/// * `decisions` — every `decide(v)` event is reported as
-///   `(id, shard, v, wall time)`; unsharded nodes always report
-///   shard 0.
-/// * `observer` — engine telemetry: per-kind encoded sizes
-///   (`bytes_sent`) and this process's first decision latency in
-///   wall-clock **microseconds** since node start (`decision_latency`).
-///   Protocol-level events are reported by the protocol instance itself
-///   — pass the same handle to its builder's `observed`.
-/// * `shard_observers` — optional per-shard engine telemetry; shard `s`
-///   reports to `shard_observers[s]` when present, falling back to the
-///   shared `observer` otherwise.
-#[derive(Debug, Clone)]
-pub struct NodeOptions<V> {
-    /// Wall-clock length of one `Δ`.
+/// Engine-level options for [`spawn_node`].
+#[derive(Debug)]
+pub(crate) struct NodeOptions<V> {
+    /// Wall-clock length of one `Δ`: protocol timer delays (virtual
+    /// units where `Δ` = [`DELTA`]) are scaled by `wall_delta / Δ`.
     pub wall_delta: WallDuration,
-    /// Sink for `decide(v)` events, tagged with the deciding shard.
-    pub decisions: Sender<(ProcessId, u32, V, Instant)>,
-    /// Engine telemetry hooks (detached by default).
-    pub observer: ObserverHandle,
-    /// Per-shard engine telemetry hooks (empty by default).
-    pub shard_observers: Vec<ObserverHandle>,
-}
-
-impl<V> NodeOptions<V> {
-    /// Options with the default Δ (10ms) and no observer.
-    pub fn new(decisions: Sender<(ProcessId, u32, V, Instant)>) -> Self {
-        NodeOptions {
-            wall_delta: WallDuration::from_millis(10),
-            decisions,
-            observer: ObserverHandle::none(),
-            shard_observers: Vec::new(),
-        }
-    }
-
-    /// Sets the wall-clock length of one `Δ`.
-    #[must_use]
-    pub fn wall_delta(mut self, wall_delta: WallDuration) -> Self {
-        self.wall_delta = wall_delta;
-        self
-    }
-
-    /// Attaches engine telemetry hooks.
-    #[must_use]
-    pub fn observed(mut self, observer: ObserverHandle) -> Self {
-        self.observer = observer;
-        self
-    }
-
-    /// Attaches per-shard engine telemetry hooks (shard `s` uses entry
-    /// `s`; missing entries fall back to the shared observer).
-    #[must_use]
-    pub fn shard_observed(mut self, shard_observers: Vec<ObserverHandle>) -> Self {
-        self.shard_observers = shard_observers;
-        self
-    }
-}
-
-/// Spawns `protocol` on its own thread.
-///
-/// * `inbox` — encoded messages from the transport's receive side;
-///   coalesced frames ([`codec::pack_frame`]) are split and dispatched
-///   message by message.
-/// * `transport` — used for this node's sends (self-sends included).
-///   One protocol step's sends are grouped per destination and handed
-///   to [`Transport::send_many`] as a burst, so coalescing transports
-///   move them in one operation.
-pub fn spawn_node<V, P, T>(
-    protocol: P,
-    inbox: Receiver<(ProcessId, Bytes)>,
-    transport: T,
-    opts: NodeOptions<V>,
-) -> NodeHandle<V>
-where
-    V: Value,
-    P: Protocol<V> + 'static,
-    T: Transport,
-{
-    spawn_sharded_node(vec![protocol], inbox, transport, opts)
+    /// Sink for every `decide(v)` event, tagged with the deciding shard.
+    pub decisions: Sender<DecideEvent<V>>,
+    /// Engine telemetry per shard: shard `s` reports its per-kind
+    /// encoded sizes (`bytes_sent`) and its first decision latency in
+    /// wall-clock **microseconds** since node start
+    /// (`decision_latency`) to `observers[s]`. Protocol-level events
+    /// are reported by the protocol instances themselves.
+    pub observers: Vec<ObserverHandle>,
 }
 
 /// Spawns one OS thread hosting `shards.len()` independent protocol
-/// instances multiplexed over one transport endpoint — the sharded
-/// deployment shape: every physical node runs one replica of *every*
-/// consensus group.
+/// instances multiplexed over one transport endpoint: every physical
+/// node runs one replica of *every* consensus group.
 ///
-/// All instances must report the same [`Protocol::id`] (they are the
-/// same physical node). Shard `s`'s outgoing messages are wrapped in a
-/// [`codec::tag_shard`] envelope when the node hosts more than one
-/// shard; a single-shard node stays on the untagged legacy wire format,
-/// which [`codec::split_shard`] reads back as shard 0. Incoming
-/// payloads are first split out of coalesced frames, then routed to
-/// their shard's instance; traffic for shards this node does not host
-/// is dropped and reported to the observer.
+/// * `inbox` — frames from the transport's receive side, split with
+///   [`codec::frame_messages`] and dispatched message by message to
+///   the shard their [`codec::tag_shard`] envelope names. A malformed
+///   frame or envelope is dropped, and so is traffic for a shard this
+///   node does not host (reported to the observer).
+/// * `transport` — used for this node's sends (self-sends included).
+///   One protocol step's sends are tagged with their shard, grouped per
+///   destination and handed to [`Transport::send_many`] as a burst.
 ///
 /// # Panics
 ///
-/// Panics if `shards` is empty or the instances disagree on their
-/// process id.
-pub fn spawn_sharded_node<V, P, T>(
+/// Panics if `shards` is empty, the instances disagree on their process
+/// id, or `opts.observers` does not have one entry per shard.
+pub(crate) fn spawn_node<V, P, T>(
     mut shards: Vec<P>,
     inbox: Receiver<(ProcessId, Bytes)>,
     transport: T,
@@ -202,32 +106,20 @@ where
         shards.iter().all(|s| s.id() == id),
         "all shard instances on one node share its process id"
     );
-    let nshards = shards.len();
+    assert_eq!(opts.observers.len(), shards.len(), "one observer per shard");
     let (control_tx, control_rx) = crossbeam::channel::unbounded::<Control<V>>();
     let join = thread::Builder::new()
         .name(format!("twostep-node-{id}"))
         .spawn(move || {
-            let started = Instant::now();
-            let obs: Vec<ObserverHandle> = (0..nshards)
-                .map(|s| {
-                    opts.shard_observers
-                        .get(s)
-                        .cloned()
-                        .unwrap_or_else(|| opts.observer.clone())
-                })
-                .collect();
             let mut node = NodeCtx {
                 id,
                 transport,
                 wall_delta: opts.wall_delta,
-                // Messages are shard-tagged only when there is traffic
-                // from more than one group to tell apart.
-                tagged: nshards > 1,
                 timers: HashMap::new(),
                 decisions: opts.decisions,
-                obs,
-                started,
-                decided: vec![false; nshards],
+                decided: vec![false; shards.len()],
+                obs: opts.observers,
+                started: Instant::now(),
             };
             for (s, shard) in shards.iter_mut().enumerate() {
                 let mut eff = Effects::new();
@@ -260,10 +152,9 @@ where
                 crossbeam::channel::select! {
                     recv(inbox) -> msg => match msg {
                         Ok((from, payload)) => {
-                            // A transport payload may be a coalesced
-                            // frame carrying many messages; a malformed
-                            // envelope drops the whole frame, a
-                            // malformed sub-payload only itself. The
+                            // A frame may carry many messages; a
+                            // malformed frame is dropped whole, a
+                            // malformed message only itself. The
                             // messages are iterated in place — no
                             // per-message allocation on the hot path.
                             if let Ok(msgs) = codec::frame_messages(&payload) {
@@ -275,11 +166,6 @@ where
                         Err(_) => break, // transport torn down
                     },
                     recv(control_rx) -> ctl => match ctl {
-                        Ok(Control::Propose(v)) => {
-                            let mut eff = Effects::new();
-                            shards[0].on_propose(v, &mut eff);
-                            node.apply(0, eff);
-                        }
                         Ok(Control::ProposeAt(s, v)) => {
                             if let Some(shard) = shards.get_mut(s as usize) {
                                 let mut eff = Effects::new();
@@ -296,7 +182,6 @@ where
         .expect("spawn node thread");
 
     NodeHandle {
-        id,
         control: control_tx,
         join: Some(join),
     }
@@ -307,12 +192,11 @@ struct NodeCtx<V, T> {
     id: ProcessId,
     transport: T,
     wall_delta: WallDuration,
-    tagged: bool,
     timers: HashMap<(u32, TimerId), Instant>,
-    decisions: Sender<(ProcessId, u32, V, Instant)>,
+    decisions: Sender<DecideEvent<V>>,
+    decided: Vec<bool>,
     obs: Vec<ObserverHandle>,
     started: Instant,
-    decided: Vec<bool>,
 }
 
 impl<V: Value, T: Transport> NodeCtx<V, T> {
@@ -324,7 +208,7 @@ impl<V: Value, T: Transport> NodeCtx<V, T> {
     /// decoded message itself owns.
     fn dispatch<P: Protocol<V>>(&mut self, shards: &mut [P], from: ProcessId, payload: &[u8]) {
         let Ok((shard, inner)) = codec::split_shard_ref(payload) else {
-            return; // truncated shard envelope: drop the message
+            return; // missing or truncated shard envelope: drop it
         };
         let Some(instance) = shards.get_mut(shard as usize) else {
             // Traffic for a group this node does not host — a peer with
@@ -361,12 +245,7 @@ impl<V: Value, T: Transport> NodeCtx<V, T> {
                     if self.obs[s].is_attached() {
                         self.obs[s].bytes_sent(self.id, &msg_kind(&msg), bytes.len());
                     }
-                    let encoded = Bytes::from(bytes);
-                    let payload = if self.tagged {
-                        codec::tag_shard(shard, &encoded)
-                    } else {
-                        encoded
-                    };
+                    let payload = codec::tag_shard(shard, &Bytes::from(bytes));
                     match by_dest.iter_mut().find(|(d, _)| *d == to) {
                         Some((_, burst)) => burst.push(payload),
                         None => by_dest.push((to, vec![payload])),
@@ -456,50 +335,44 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn spawn_toy(
-        me: ProcessId,
-        inbox: Receiver<(ProcessId, Bytes)>,
-        transport: InMemoryTransport,
-        wall_delta: WallDuration,
-        dtx: Sender<(ProcessId, u32, u64, Instant)>,
-    ) -> NodeHandle<u64> {
-        spawn_node(
-            Toy { me, decided: None },
-            inbox,
-            transport,
-            NodeOptions::new(dtx).wall_delta(wall_delta),
-        )
-    }
-
     /// A node hosting `shards` independent `Toy` instances.
-    fn spawn_sharded_toy(
+    fn spawn_toy(
         me: ProcessId,
         shards: usize,
         inbox: Receiver<(ProcessId, Bytes)>,
         transport: InMemoryTransport,
-        dtx: Sender<(ProcessId, u32, u64, Instant)>,
+        wall_delta: WallDuration,
+        decisions: Sender<DecideEvent<u64>>,
     ) -> NodeHandle<u64> {
-        let instances = (0..shards).map(|_| Toy { me, decided: None }).collect();
-        spawn_sharded_node(
-            instances,
+        spawn_node(
+            (0..shards).map(|_| Toy { me, decided: None }).collect(),
             inbox,
             transport,
-            NodeOptions::new(dtx).wall_delta(WallDuration::from_millis(10)),
+            NodeOptions {
+                wall_delta,
+                decisions,
+                observers: vec![ObserverHandle::none(); shards],
+            },
         )
     }
+
+    fn propose(node: &NodeHandle<u64>, shard: u32, v: u64) {
+        node.control().send(Control::ProposeAt(shard, v)).unwrap();
+    }
+
+    /// `msg` encoded in its shard envelope, as a node sends it.
+    fn wire(shard: u32, msg: Echo) -> Bytes {
+        codec::tag_shard(shard, &Bytes::from(codec::to_bytes(&msg).unwrap()))
+    }
+
+    const DELTA_10MS: WallDuration = WallDuration::from_millis(10);
 
     #[test]
     fn propose_reaches_protocol_and_decision_reported() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
         let (dtx, drx) = crossbeam::channel::unbounded();
-        let node = spawn_toy(
-            p(0),
-            inboxes.remove(0),
-            transport,
-            WallDuration::from_millis(10),
-            dtx,
-        );
-        node.propose(42);
+        let node = spawn_toy(p(0), 1, inboxes.remove(0), transport, DELTA_10MS, dtx);
+        propose(&node, 0, 42);
         let (who, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((who, shard, v), (p(0), 0, 42));
     }
@@ -510,24 +383,11 @@ mod tests {
         let (dtx, drx) = crossbeam::channel::unbounded();
         let rx1 = inboxes.pop().unwrap();
         let rx0 = inboxes.pop().unwrap();
-        let _n0 = spawn_toy(
-            p(0),
-            rx0,
-            transport.clone(),
-            WallDuration::from_millis(10),
-            dtx.clone(),
-        );
-        let _n1 = spawn_toy(
-            p(1),
-            rx1,
-            transport.clone(),
-            WallDuration::from_millis(10),
-            dtx,
-        );
+        let _n0 = spawn_toy(p(0), 1, rx0, transport.clone(), DELTA_10MS, dtx.clone());
+        let _n1 = spawn_toy(p(1), 1, rx1, transport.clone(), DELTA_10MS, dtx);
         // Inject Echo(5) to node 1 as if from node 0: node 1 replies
         // Echo(105) to node 0, which decides 105.
-        let bytes = codec::to_bytes(&Echo(5)).unwrap();
-        transport.send(p(0), p(1), Bytes::from(bytes));
+        transport.send(p(0), p(1), wire(0, Echo(5)));
         let (who, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((who, v), (p(0), 105));
     }
@@ -538,21 +398,15 @@ mod tests {
         let (dtx, drx) = crossbeam::channel::unbounded();
         let _node = spawn_toy(
             p(0),
+            1,
             inboxes.remove(0),
             transport.clone(),
-            WallDuration::from_millis(10),
+            DELTA_10MS,
             dtx,
         );
         // Two deciding messages coalesced into one transport payload:
         // both must reach the protocol, in order.
-        transport.send_many(
-            p(0),
-            p(0),
-            vec![
-                Bytes::from(codec::to_bytes(&Echo(11)).unwrap()),
-                Bytes::from(codec::to_bytes(&Echo(12)).unwrap()),
-            ],
-        );
+        transport.send_many(p(0), p(0), vec![wire(0, Echo(11)), wire(0, Echo(12))]);
         let (_, _, v1, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         let (_, _, v2, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((v1, v2), (11, 12));
@@ -562,17 +416,13 @@ mod tests {
     fn sharded_node_routes_proposals_and_tags_decisions() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
         let (dtx, drx) = crossbeam::channel::unbounded();
-        let node = spawn_sharded_toy(p(0), 3, inboxes.remove(0), transport, dtx);
-        node.propose_at(2, 7);
+        let node = spawn_toy(p(0), 3, inboxes.remove(0), transport, DELTA_10MS, dtx);
+        propose(&node, 2, 7);
         let (who, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((who, shard, v), (p(0), 2, 7));
-        // Plain propose lands on shard 0.
-        node.propose(8);
-        let (_, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
-        assert_eq!((shard, v), (0, 8));
         // Proposals to unhosted shards are dropped, not crashed.
-        node.propose_at(9, 1);
-        node.propose_at(1, 3);
+        propose(&node, 9, 1);
+        propose(&node, 1, 3);
         let (_, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((shard, v), (1, 3));
     }
@@ -583,32 +433,14 @@ mod tests {
         let (dtx, drx) = crossbeam::channel::unbounded();
         let rx1 = inboxes.pop().unwrap();
         let rx0 = inboxes.pop().unwrap();
-        let _n0 = spawn_sharded_toy(p(0), 2, rx0, transport.clone(), dtx.clone());
-        let _n1 = spawn_sharded_toy(p(1), 2, rx1, transport.clone(), dtx);
+        let _n0 = spawn_toy(p(0), 2, rx0, transport.clone(), DELTA_10MS, dtx.clone());
+        let _n1 = spawn_toy(p(1), 2, rx1, transport.clone(), DELTA_10MS, dtx);
         // Inject Echo(5) tagged for shard 1 of node 1, as if from node 0:
-        // node 1's shard 1 replies Echo(105) — tagged, because the node
-        // hosts two shards — and node 0's shard 1 decides 105.
-        let inner = Bytes::from(codec::to_bytes(&Echo(5)).unwrap());
-        transport.send(p(0), p(1), codec::tag_shard(1, &inner));
+        // node 1's shard 1 replies Echo(105), tagged for shard 1, and
+        // node 0's shard 1 decides 105.
+        transport.send(p(0), p(1), wire(1, Echo(5)));
         let (who, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((who, shard, v), (p(0), 1, 105));
-    }
-
-    #[test]
-    fn untagged_traffic_reaches_shard_zero_of_sharded_node() {
-        let (transport, mut inboxes) = InMemoryTransport::new(1);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let _node = spawn_sharded_toy(p(0), 2, inboxes.remove(0), transport.clone(), dtx);
-        // A legacy untagged deciding message is shard 0 traffic.
-        transport.send(p(0), p(0), Bytes::from(codec::to_bytes(&Echo(11)).unwrap()));
-        let (_, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
-        assert_eq!((shard, v), (0, 11));
-        // Traffic for an unhosted shard is dropped; the node survives.
-        let inner = Bytes::from(codec::to_bytes(&Echo(12)).unwrap());
-        transport.send(p(0), p(0), codec::tag_shard(7, &inner));
-        transport.send(p(0), p(0), codec::tag_shard(1, &inner));
-        let (_, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
-        assert_eq!((shard, v), (1, 12));
     }
 
     #[test]
@@ -616,13 +448,9 @@ mod tests {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
         let (dtx, drx) = crossbeam::channel::unbounded();
         let started = Instant::now();
-        let _node = spawn_toy(
-            p(0),
-            inboxes.remove(0),
-            transport,
-            WallDuration::from_millis(5), // Δ = 5ms → timer at 20ms
-            dtx,
-        );
+        // Δ = 5ms → timer at 20ms.
+        let delta = WallDuration::from_millis(5);
+        let _node = spawn_toy(p(0), 1, inboxes.remove(0), transport, delta, dtx);
         let (_, _, v, at) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!(v, 999);
         let elapsed = at.duration_since(started);
@@ -636,37 +464,45 @@ mod tests {
     fn crash_stops_processing() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
         let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut node = spawn_toy(
-            p(0),
-            inboxes.remove(0),
-            transport,
-            WallDuration::from_millis(10),
-            dtx,
-        );
+        let mut node = spawn_toy(p(0), 1, inboxes.remove(0), transport, DELTA_10MS, dtx);
         node.crash();
-        assert!(node.is_crashed());
-        node.propose(42);
+        let _ = node.control().send(Control::ProposeAt(0, 42));
         assert!(drx.recv_timeout(WallDuration::from_millis(300)).is_err());
     }
 
     #[test]
     fn malformed_frames_are_dropped() {
-        let (transport, mut inboxes) = InMemoryTransport::new(1);
+        // Inputs go straight into the inbox, bypassing the transport's
+        // framing. A long Δ keeps the toy's fallback timer out of the
+        // way.
+        let (inbox_tx, inbox) = crossbeam::channel::unbounded();
+        let (transport, _inboxes) = InMemoryTransport::new(1);
         let (dtx, drx) = crossbeam::channel::unbounded();
-        let _node = spawn_toy(
-            p(0),
-            inboxes.remove(0),
-            transport.clone(),
-            WallDuration::from_millis(10),
-            dtx,
-        );
-        transport.send(p(0), p(0), Bytes::from_static(b"\xFF\xFF"));
-        // A truncated coalesced frame (valid magic, missing body) must
-        // also be survivable.
-        let packed = codec::pack_frame(&[Bytes::from_static(b"\x00\x00\x00\x00")]);
-        transport.send(p(0), p(0), Bytes::from(packed[..6].to_vec()));
-        // Node survives garbage and still handles proposals.
-        _node.propose(7);
+        let delta = WallDuration::from_secs(10);
+        let node = spawn_toy(p(0), 1, inbox, transport, delta, dtx);
+        let bare = Bytes::from(codec::to_bytes(&Echo(11)).unwrap());
+        let packed = codec::pack_frame(&[wire(0, Echo(12))]);
+        let malformed = [
+            // Garbage.
+            Bytes::from_static(b"\xFF\xFF"),
+            // A truncated frame (valid magic, missing body).
+            Bytes::from(packed[..6].to_vec()),
+            // An unframed message.
+            wire(0, Echo(13)),
+            // A frame whose message lacks its shard envelope.
+            codec::pack_frame(&[bare]),
+            // A frame for a shard this node does not host.
+            codec::pack_frame(&[wire(7, Echo(14))]),
+        ];
+        for payload in malformed {
+            inbox_tx.send((p(0), payload)).unwrap();
+        }
+        // A well-formed frame queued behind them is the first decision.
+        inbox_tx.send((p(0), packed)).unwrap();
+        let (_, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
+        assert_eq!(v, 12);
+        // The node survives and still handles proposals.
+        propose(&node, 0, 7);
         let (_, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!(v, 7);
     }

@@ -1,5 +1,4 @@
-//! Client handles bound to one proxy replica (or, sharded, one proxy
-//! per consensus group).
+//! Client handles bound to one proxy replica per consensus group.
 
 use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
@@ -15,11 +14,11 @@ use crate::node::Control;
 /// Picks the shard a value is routed to.
 pub(crate) type RouteFn<V> = Arc<dyn Fn(&V) -> u32 + Send + Sync>;
 
-/// A closed-loop client of one proxy node — or, in a sharded cluster,
-/// of one proxy node *per shard*.
+/// A closed-loop client of one proxy node *per shard* (the same node
+/// for every shard, or each shard's leader).
 ///
 /// Obtained from [`Cluster::proxy_client`](crate::Cluster::proxy_client)
-/// or [`ShardedCluster::client`](crate::ShardedCluster::client). Each
+/// or [`Cluster::client`](crate::Cluster::client). Each
 /// in-flight [`ProxyClient::submit_and_wait`] registers a
 /// `(shard, value)`-keyed waiter with the cluster router, so concurrent
 /// clients (even on the same proxy) wait for their own commands
@@ -36,7 +35,7 @@ pub(crate) type RouteFn<V> = Arc<dyn Fn(&V) -> u32 + Send + Sync>;
 /// committed — but sequencing guarantees only hold for unique values.
 pub struct ProxyClient<V> {
     /// Per-shard submission target: `(proxy node, its control channel)`,
-    /// indexed by shard. Unsharded clients have exactly one entry.
+    /// indexed by shard.
     targets: Arc<Vec<(ProcessId, Sender<Control<V>>)>>,
     route: RouteFn<V>,
     shared: Arc<ClusterShared<V>>,
@@ -44,23 +43,7 @@ pub struct ProxyClient<V> {
 }
 
 impl<V: Value> ProxyClient<V> {
-    /// A client of an unsharded cluster: everything routes to shard 0
-    /// at `proxy`.
-    pub(crate) fn single(
-        proxy: ProcessId,
-        control: Sender<Control<V>>,
-        shared: Arc<ClusterShared<V>>,
-        obs: ObserverHandle,
-    ) -> Self {
-        ProxyClient {
-            targets: Arc::new(vec![(proxy, control)]),
-            route: Arc::new(|_| 0),
-            shared,
-            obs,
-        }
-    }
-
-    /// A sharded client: command `v` goes to shard `route(v)`, proposed
+    /// A client: command `v` goes to shard `route(v)`, proposed
     /// at (and awaited on) node `targets[route(v)].0`.
     pub(crate) fn sharded(
         targets: Arc<Vec<(ProcessId, Sender<Control<V>>)>>,
@@ -78,7 +61,7 @@ impl<V: Value> ProxyClient<V> {
     }
 
     /// The proxy this client submits shard-0 traffic to (its only proxy
-    /// when the cluster is unsharded).
+    /// on a one-group cluster).
     pub fn proxy(&self) -> ProcessId {
         self.targets[0].0
     }

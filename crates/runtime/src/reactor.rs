@@ -24,10 +24,10 @@
 //!
 //! The wire format is byte-identical to [`crate::TcpTransport`]: a
 //! 4-byte little-endian sender-id handshake, then `[len: u32 LE]
-//! [payload]` frames where a payload is either one legacy message or a
-//! [`codec::pack_frame`]-style coalesced frame (built here as IoSlice
-//! segments rather than via `pack_frame`). The two socket backends
-//! interoperate in both directions.
+//! [payload]` records whose payload is a [`codec::pack_frame`] frame
+//! (built here as IoSlice segments rather than via `pack_frame`). The
+//! two socket backends interoperate in both directions. A length prefix
+//! above [`crate::MAX_FRAME_LEN`] closes the connection.
 //!
 //! ## Allocation discipline
 //!
@@ -86,11 +86,9 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// Commands from transport handles to the reactor thread.
 enum Cmd {
-    /// Queue one payload toward `to`.
-    Send { to: ProcessId, payload: Bytes },
-    /// Queue a burst toward `to`; flushed as one coalesced frame (up to
+    /// Queue a burst toward `to`; flushed as one frame (up to
     /// [`MAX_COALESCE`] per frame).
-    Burst { to: ProcessId, payloads: Vec<Bytes> },
+    Send { to: ProcessId, payloads: Vec<Bytes> },
     /// Test hook: poison the next write toward `to` (see
     /// [`ReactorTransport::inject_write_failure`]).
     FailNextWrite { to: ProcessId },
@@ -141,7 +139,7 @@ impl Doorbell {
 /// # Example
 ///
 /// ```rust
-/// use twostep_runtime::{ReactorTransport, Transport};
+/// use twostep_runtime::{codec, ReactorTransport, Transport};
 /// use twostep_telemetry::ObserverHandle;
 /// use twostep_types::ProcessId;
 /// use bytes::Bytes;
@@ -157,8 +155,9 @@ impl Doorbell {
 /// let _t1 = ReactorTransport::spawn(ProcessId::new(1), peers, l1, tx1,
 ///     ObserverHandle::none()).unwrap();
 /// t0.send(ProcessId::new(0), ProcessId::new(1), Bytes::from_static(b"hi"));
-/// let (from, payload) = rx1.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-/// assert_eq!((from, &payload[..]), (ProcessId::new(0), &b"hi"[..]));
+/// let (from, frame) = rx1.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+/// let msgs: Vec<&[u8]> = codec::frame_messages(&frame).unwrap().collect();
+/// assert_eq!((from, msgs), (ProcessId::new(0), vec![&b"hi"[..]]));
 /// ```
 #[derive(Clone)]
 pub struct ReactorTransport {
@@ -230,14 +229,18 @@ impl ReactorTransport {
         })
     }
 
-    /// Test hook: makes the next write toward `to` fail as if the
-    /// connection broke, killing the cached connection in the process.
+    /// Test hook: makes the next first attempt at writing a frame toward
+    /// `to` fail as if the connection broke, killing the cached
+    /// connection in the process.
     ///
     /// This drives the reconnect path deterministically — real kernel
     /// socket teardown surfaces write errors at unpredictable points,
     /// so the seeded reconnect regression test injects the failure here
     /// instead. The poisoned write follows the production failure path
     /// exactly: whole-frame retention, backoff timer, single redial.
+    /// Each injection is one fault: one arriving while a frame awaits
+    /// its redial waits for the next frame, because failing the redial
+    /// too would be a double fault, which drops the frame by design.
     pub fn inject_write_failure(&self, to: ProcessId) {
         let _ = self.cmds.send(Cmd::FailNextWrite { to });
         self.doorbell.ring();
@@ -245,22 +248,8 @@ impl ReactorTransport {
 }
 
 impl Transport for ReactorTransport {
-    fn send(&self, _from: ProcessId, to: ProcessId, payload: Bytes) {
-        let _ = self.cmds.send(Cmd::Send { to, payload });
-        self.doorbell.ring();
-    }
-
     fn send_many(&self, _from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
-        match payloads.len() {
-            0 => return,
-            1 => {
-                let payload = payloads.into_iter().next().expect("len checked");
-                let _ = self.cmds.send(Cmd::Send { to, payload });
-            }
-            _ => {
-                let _ = self.cmds.send(Cmd::Burst { to, payloads });
-            }
-        }
+        let _ = self.cmds.send(Cmd::Send { to, payloads });
         self.doorbell.ring();
     }
 }
@@ -325,26 +314,18 @@ struct Flush {
 }
 
 impl Flush {
-    /// Drains up to [`MAX_COALESCE`] payloads from `queue` into a frame.
-    /// A single payload goes out in the legacy (unframed) layout, many
-    /// in the [`codec::FRAME_MAGIC`] coalesced layout — matching
-    /// [`codec::pack_frame`] byte for byte.
+    /// Drains up to [`MAX_COALESCE`] payloads from `queue` into a frame
+    /// matching [`codec::pack_frame`] byte for byte.
     fn build(queue: &mut VecDeque<Bytes>) -> Flush {
         let k = queue.len().min(MAX_COALESCE);
         let msgs: Vec<Bytes> = queue.drain(..k).collect();
-        let body_len = if msgs.len() == 1 {
-            msgs[0].len()
-        } else {
-            8 + msgs.iter().map(|m| 4 + m.len()).sum::<usize>()
-        };
+        let body_len = 8 + msgs.iter().map(|m| 4 + m.len()).sum::<usize>();
         let mut heads = Vec::with_capacity(12 + 4 * msgs.len());
         heads.extend_from_slice(&(body_len as u32).to_le_bytes());
-        if msgs.len() > 1 {
-            heads.extend_from_slice(&codec::FRAME_MAGIC.to_le_bytes());
-            heads.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
-            for m in &msgs {
-                heads.extend_from_slice(&(m.len() as u32).to_le_bytes());
-            }
+        heads.extend_from_slice(&codec::FRAME_MAGIC.to_le_bytes());
+        heads.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
+        for m in &msgs {
+            heads.extend_from_slice(&(m.len() as u32).to_le_bytes());
         }
         Flush {
             written: 0,
@@ -355,19 +336,14 @@ impl Flush {
     }
 
     /// The frame's wire layout as borrowed segments, in order: header
-    /// block first, then (in the coalesced layout) each message's
-    /// length prefix interleaved with its payload.
+    /// block first, then each message's length prefix interleaved with
+    /// its payload.
     fn segments(&self) -> Vec<&[u8]> {
         let mut segs = Vec::with_capacity(1 + 2 * self.msgs.len());
-        if self.msgs.len() == 1 {
-            segs.push(&self.heads[0..4]);
-            segs.push(&self.msgs[0][..]);
-        } else {
-            segs.push(&self.heads[0..12]);
-            for (i, m) in self.msgs.iter().enumerate() {
-                segs.push(&self.heads[12 + 4 * i..16 + 4 * i]);
-                segs.push(&m[..]);
-            }
+        segs.push(&self.heads[0..12]);
+        for (i, m) in self.msgs.iter().enumerate() {
+            segs.push(&self.heads[12 + 4 * i..16 + 4 * i]);
+            segs.push(&m[..]);
         }
         segs
     }
@@ -449,12 +425,7 @@ impl Reactor {
     fn drain_cmds(&mut self) {
         loop {
             match self.cmds.try_recv() {
-                Ok(Cmd::Send { to, payload }) => {
-                    if let Some(o) = self.outbound.get_mut(to.index()) {
-                        o.queue.push_back(payload);
-                    }
-                }
-                Ok(Cmd::Burst { to, payloads }) => {
+                Ok(Cmd::Send { to, payloads }) => {
                     if let Some(o) = self.outbound.get_mut(to.index()) {
                         o.queue.extend(payloads);
                     }
@@ -535,7 +506,14 @@ impl Reactor {
                 }
             }
             if let Some(from) = conn.from {
-                while let Some(frame) = conn.asm.next_frame() {
+                loop {
+                    let frame = match conn.asm.next_frame() {
+                        Ok(Some(frame)) => frame,
+                        Ok(None) => break,
+                        // An oversized length prefix: the stream's
+                        // framing cannot be trusted past it.
+                        Err(_) => return ReadOutcome::Closed,
+                    };
                     // One allocation per *wire frame* (it may carry up
                     // to MAX_COALESCE messages): the inbox needs owned
                     // bytes, and the node iterates messages in place.
@@ -580,7 +558,7 @@ impl Reactor {
                     }
                 }
             }
-            if o.fail_next {
+            if o.fail_next && !o.retried {
                 // Injected failure: kill the connection and take the
                 // production failure path.
                 o.fail_next = false;
@@ -701,19 +679,20 @@ mod tests {
         (t0, t1, rx0, rx1)
     }
 
+    /// The next inbox frame's sender and messages.
+    fn recv_frame(rx: &Inbox) -> (ProcessId, Vec<Vec<u8>>) {
+        let (from, frame) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let msgs = codec::frame_messages(&frame).unwrap();
+        (from, msgs.map(<[u8]>::to_vec).collect())
+    }
+
     #[test]
     fn reactor_end_to_end_both_directions() {
         let (t0, t1, rx0, rx1) = pair();
         t0.send(p(0), p(1), Bytes::from_static(b"hello"));
-        assert_eq!(
-            rx1.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (p(0), Bytes::from_static(b"hello"))
-        );
+        assert_eq!(recv_frame(&rx1), (p(0), vec![b"hello".to_vec()]));
         t1.send(p(1), p(0), Bytes::from_static(b"world"));
-        assert_eq!(
-            rx0.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (p(1), Bytes::from_static(b"world"))
-        );
+        assert_eq!(recv_frame(&rx0), (p(1), vec![b"world".to_vec()]));
     }
 
     #[test]
@@ -721,10 +700,30 @@ mod tests {
         let (t0, _t1, _rx0, rx1) = pair();
         let burst: Vec<Bytes> = (0..10u8).map(|i| Bytes::from(vec![i; 3])).collect();
         t0.send_many(p(0), p(1), burst.clone());
-        let (from, frame) = rx1.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(from, p(0));
-        let msgs: Vec<Bytes> = codec::unpack_frame(&frame).unwrap();
-        assert_eq!(msgs, burst);
+        let want: Vec<Vec<u8>> = burst.iter().map(|b| b.to_vec()).collect();
+        assert_eq!(recv_frame(&rx1), (p(0), want));
+    }
+
+    /// A length prefix beyond [`crate::MAX_FRAME_LEN`] closes the
+    /// connection instead of growing the read buffer toward it.
+    #[test]
+    fn reactor_closes_connection_on_oversized_length_prefix() {
+        let (l, a) = ReactorTransport::bind_ephemeral().unwrap();
+        let (tx, rx) = unbounded();
+        let _t = ReactorTransport::spawn(p(0), vec![a], l, tx, ObserverHandle::none()).unwrap();
+        let mut stream = TcpStream::connect(a).unwrap();
+        stream.write_all(&7u32.to_le_bytes()).unwrap(); // handshake
+        let prefix = u32::try_from(crate::MAX_FRAME_LEN + 1).unwrap();
+        stream.write_all(&prefix.to_le_bytes()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = [0u8; 1];
+        assert!(
+            matches!(stream.read(&mut buf), Ok(0)),
+            "the reactor must close the connection on an oversized prefix"
+        );
+        assert!(rx.try_recv().is_err(), "nothing may reach the inbox");
     }
 
     #[test]
@@ -778,10 +777,7 @@ mod tests {
         assert_eq!(got, vec![b"a".to_vec(), b"bb".to_vec()]);
 
         blocking.send(p(1), p(0), Bytes::from_static(b"back"));
-        assert_eq!(
-            rx0.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (p(1), Bytes::from_static(b"back"))
-        );
+        assert_eq!(recv_frame(&rx0), (p(1), vec![b"back".to_vec()]));
     }
 
     #[test]

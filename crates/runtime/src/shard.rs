@@ -1,49 +1,19 @@
-//! Sharded deployments: many independent consensus groups, one cluster.
+//! Sharding: many independent consensus groups, one cluster.
 //!
-//! A [`ShardedCluster`] hash-partitions the key space across `k`
-//! independent replica groups. Every physical node hosts one replica of
-//! *every* group, multiplexed on one OS thread and one transport
-//! endpoint (see [`spawn_sharded_node`]);
-//! wire traffic is demultiplexed by the
-//! [`codec::tag_shard`](crate::codec::tag_shard) envelope.
-//! Each group's Ω scans a rotated preference order so the group leaders
-//! — and with them the fast-path proposal load — spread round-robin
-//! across the nodes: shard `s` is led by node `s mod n`.
+//! A [`Cluster`](crate::Cluster) hash-partitions the key space across
+//! `k` independent replica groups with the [`ShardRouter`] below; a
+//! one-group cluster is the `k = 1` case. Every physical node hosts one
+//! replica of *every* group, multiplexed on one OS thread and one
+//! transport endpoint; wire traffic is demultiplexed by the
+//! [`codec::tag_shard`](crate::codec::tag_shard) envelope every message
+//! carries. Each group's Ω scans a rotated preference order so the
+//! group leaders — and with them the fast-path proposal load — spread
+//! round-robin across the nodes: shard `s` is led by node `s mod n`.
 //!
 //! Per-key operations stay totally ordered (same key → same group, one
 //! log), while distinct keys in distinct groups commit concurrently —
 //! the standard partitioning argument, which preserves each group's
 //! `2e+f` fast-path quorum economics unchanged.
-
-use std::sync::Arc;
-use std::time::{Duration as WallDuration, Instant};
-
-use twostep_telemetry::ObserverHandle;
-use twostep_types::protocol::Protocol;
-use twostep_types::{ProcessId, SystemConfig, Value};
-
-use crate::cluster::ClusterShared;
-use crate::node::{spawn_sharded_node, NodeHandle, NodeOptions};
-use crate::proxy::{ProxyClient, RouteFn};
-use crate::transport::{delayed_inbox, InMemoryTransport, SocketBackend, TcpTransport};
-use crate::RuntimeError;
-
-/// Wall-clock knobs of an in-memory deployment: the duration of one
-/// protocol `Δ` and the emulated one-way link latency (zero = instant
-/// links).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Timing {
-    pub wall_delta: WallDuration,
-    pub link_delay: WallDuration,
-}
-
-/// Observer handles of a sharded deployment: one cluster-wide handle
-/// plus one rollup handle per shard.
-#[derive(Clone)]
-pub(crate) struct Observers {
-    pub cluster: ObserverHandle,
-    pub shards: Vec<ObserverHandle>,
-}
 
 /// 64-bit FNV-1a over `bytes` — the router's key hash.
 ///
@@ -91,276 +61,6 @@ impl ShardRouter {
     /// The shard `key` routes to.
     pub fn route(&self, key: &[u8]) -> u32 {
         (fnv1a64(key) % u64::from(self.shards)) as u32
-    }
-}
-
-/// A running sharded deployment: `n` nodes × `k` consensus groups.
-///
-/// Construct with
-/// [`ClusterBuilder::shards`](crate::ClusterBuilder::shards) followed by
-/// [`build_sharded_smr`](crate::ClusterBuilder::build_sharded_smr).
-///
-/// ```rust
-/// use std::time::Duration;
-/// use twostep_runtime::ClusterBuilder;
-/// use twostep_smr::{KvCommand, KvStore};
-/// use twostep_types::SystemConfig;
-///
-/// let cfg = SystemConfig::minimal_object(1, 1)?;
-/// let cluster = ClusterBuilder::new(cfg)
-///     .shards(4)
-///     .wall_delta(Duration::from_millis(5))
-///     .build_sharded_smr::<KvCommand, KvStore>()
-///     .expect("in-memory build cannot fail");
-/// let client = cluster.client();
-/// client.submit_and_wait(KvCommand::put("k", "v"), Duration::from_secs(10));
-/// # Ok::<(), twostep_types::ConfigError>(())
-/// ```
-pub struct ShardedCluster<V: Value> {
-    cfg: SystemConfig,
-    router: ShardRouter,
-    nodes: Vec<NodeHandle<V>>,
-    shared: Arc<ClusterShared<V>>,
-    route: RouteFn<V>,
-    obs: ObserverHandle,
-    started: Instant,
-}
-
-impl<V: Value> ShardedCluster<V> {
-    fn assemble(
-        cfg: SystemConfig,
-        router: ShardRouter,
-        nodes: Vec<NodeHandle<V>>,
-        decisions: crossbeam::channel::Receiver<(ProcessId, u32, V, Instant)>,
-        route: RouteFn<V>,
-        obs: ObserverHandle,
-    ) -> Self {
-        let shared = ClusterShared::new(router.shards(), cfg.n());
-        shared.spawn_router(decisions);
-        ShardedCluster {
-            cfg,
-            router,
-            nodes,
-            shared,
-            route,
-            obs,
-            started: Instant::now(),
-        }
-    }
-
-    /// Spawns a sharded cluster over the in-memory transport: node `p`
-    /// hosts `make(p, s)` for every shard `s`.
-    pub(crate) fn assemble_in_memory<P, F>(
-        cfg: SystemConfig,
-        router: ShardRouter,
-        timing: Timing,
-        mut make: F,
-        route: RouteFn<V>,
-        observers: Observers,
-    ) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId, u32) -> P,
-    {
-        let n = cfg.n();
-        let (transport, inboxes) = InMemoryTransport::with_delay(n, timing.link_delay);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, inbox) in inboxes.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            let instances = (0..router.shards() as u32).map(|s| make(p, s)).collect();
-            nodes.push(spawn_sharded_node(
-                instances,
-                inbox,
-                transport.clone(),
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(timing.wall_delta)
-                    .observed(observers.cluster.clone())
-                    .shard_observed(observers.shards.clone()),
-            ));
-        }
-        drop(dtx);
-        Self::assemble(cfg, router, nodes, drx, route, observers.cluster)
-    }
-
-    /// Spawns a sharded cluster over localhost sockets — blocking TCP
-    /// or the reactor, per `backend`. A non-zero `timing.link_delay`
-    /// holds every received payload for that duration before the node
-    /// sees it (shard-tag envelopes included), matching the in-memory
-    /// transport's emulated link latency.
-    pub(crate) fn assemble_sockets<P, F>(
-        cfg: SystemConfig,
-        router: ShardRouter,
-        timing: Timing,
-        backend: SocketBackend,
-        mut make: F,
-        route: RouteFn<V>,
-        observers: Observers,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId, u32) -> P,
-    {
-        let n = cfg.n();
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (listener, addr) = TcpTransport::bind_ephemeral()?;
-            listeners.push(listener);
-            addrs.push(addr);
-        }
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            let (inbox_tx, inbox_rx) = crossbeam::channel::unbounded();
-            let inbox_tx = delayed_inbox(timing.link_delay, inbox_tx);
-            let transport = backend.spawn(
-                p,
-                addrs.clone(),
-                listener,
-                inbox_tx,
-                observers.cluster.clone(),
-            )?;
-            let instances = (0..router.shards() as u32).map(|s| make(p, s)).collect();
-            nodes.push(spawn_sharded_node(
-                instances,
-                inbox_rx,
-                transport,
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(timing.wall_delta)
-                    .observed(observers.cluster.clone())
-                    .shard_observed(observers.shards.clone()),
-            ));
-        }
-        drop(dtx);
-        Ok(Self::assemble(
-            cfg,
-            router,
-            nodes,
-            drx,
-            route,
-            observers.cluster,
-        ))
-    }
-
-    /// The deployed configuration (per group — all groups share it).
-    pub fn config(&self) -> SystemConfig {
-        self.cfg
-    }
-
-    /// Number of consensus groups.
-    pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// The key→shard router.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// When the cluster was spawned.
-    pub fn started_at(&self) -> Instant {
-        self.started
-    }
-
-    /// The node that leads shard `s` when nothing is suspected: the
-    /// round-robin assignment `s mod n`.
-    pub fn leader_of(&self, shard: u32) -> ProcessId {
-        ProcessId::new(shard % self.cfg.n() as u32)
-    }
-
-    /// A leader-routed client: each command is submitted at (and
-    /// awaited on) the node leading its shard, so every proposal starts
-    /// on the fast path of its group.
-    pub fn client(&self) -> ProxyClient<V> {
-        let targets = (0..self.shards() as u32)
-            .map(|s| {
-                let p = self.leader_of(s);
-                (p, self.nodes[p.index()].control())
-            })
-            .collect();
-        ProxyClient::sharded(
-            Arc::new(targets),
-            Arc::clone(&self.route),
-            Arc::clone(&self.shared),
-            self.obs.clone(),
-        )
-    }
-
-    /// A client pinned to proxy `p` for every shard: commands are
-    /// routed to their shard's replica *on node `p`* regardless of who
-    /// leads the group. Non-leader proposals reach the group leader by
-    /// forwarding, trading a hop for locality.
-    pub fn proxy_client(&self, p: ProcessId) -> ProxyClient<V> {
-        let control = self.nodes[p.index()].control();
-        let targets = (0..self.shards()).map(|_| (p, control.clone())).collect();
-        ProxyClient::sharded(
-            Arc::new(targets),
-            Arc::clone(&self.route),
-            Arc::clone(&self.shared),
-            self.obs.clone(),
-        )
-    }
-
-    /// Submits `value` to its shard at that shard's leader node.
-    pub fn propose(&self, value: V) {
-        let shard = (self.route)(&value);
-        self.nodes[self.leader_of(shard).index()].propose_at(shard, value);
-    }
-
-    /// Crashes node `p`: every group loses its replica at `p` at once —
-    /// the physical-node failure model.
-    pub fn crash(&mut self, p: ProcessId) {
-        self.nodes[p.index()].crash();
-    }
-
-    /// The first decision of `(shard, p)` observed so far.
-    pub fn decision_of(&self, shard: u32, p: ProcessId) -> Option<V> {
-        self.shared.first_decision(shard, p).map(|(v, _)| v)
-    }
-
-    /// All first decisions of `shard`, by process.
-    pub fn shard_decisions(&self, shard: u32) -> Vec<Option<V>> {
-        self.shared.shard_decisions(shard)
-    }
-
-    /// Whether the observed first decisions of `shard` agree.
-    pub fn shard_agreement(&self, shard: u32) -> bool {
-        let decisions = self.shard_decisions(shard);
-        let mut iter = decisions.iter().flatten();
-        match iter.next() {
-            None => true,
-            Some(first) => iter.all(|v| v == first),
-        }
-    }
-
-    /// Whether every shard's observed first decisions agree — Agreement
-    /// holds per group; values across groups legitimately differ.
-    pub fn agreement(&self) -> bool {
-        (0..self.shards() as u32).all(|s| self.shard_agreement(s))
-    }
-
-    /// Waits until `(shard, p)` decides or `timeout` elapses.
-    pub fn await_decision(&self, shard: u32, p: ProcessId, timeout: WallDuration) -> Option<V> {
-        // Subscribe before checking the cache so an event landing in
-        // between is seen either way (no lost wakeup).
-        let rx = self.shared.subscribe();
-        if let Some(v) = self.decision_of(shard, p) {
-            return Some(v);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok((q, s, v, _)) if q == p && s == shard => return Some(v),
-                Ok(_) => {}
-                Err(_) => return None,
-            }
-        }
     }
 }
 

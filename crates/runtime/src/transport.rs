@@ -19,72 +19,81 @@ use crate::{codec, RuntimeError};
 /// Implementations must be cheap to clone (handles to shared state) and
 /// tolerate sends to crashed/closed destinations by dropping the message
 /// (the failure model is crash-stop; a crashed process simply stops
-/// receiving).
+/// receiving). Every payload an implementation delivers to an inbox is
+/// a [`codec::pack_frame`] frame, whatever the backend and however many
+/// messages it carries.
 pub trait Transport: Send + Sync + 'static {
-    /// Delivers `payload` from `from` to `to`'s inbox, best-effort.
-    fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes);
-
     /// Delivers a burst of payloads from `from` to `to`, best-effort and
-    /// in order.
-    ///
-    /// This is the coalescing hook: implementations that can move many
-    /// messages in one underlying operation (one syscall, one channel
-    /// send) should override it — see [`codec::pack_frame`]. The default
-    /// simply loops over [`Transport::send`].
-    fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
-        for p in payloads {
-            self.send(from, to, p);
-        }
+    /// in order, framed together (up to [`MAX_COALESCE`] per frame on
+    /// the socket backends) so one underlying operation (one syscall,
+    /// one channel send) moves many messages.
+    fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>);
+
+    /// Delivers one payload from `from` to `to`, best-effort: a burst
+    /// of one.
+    fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
+        self.send_many(from, to, vec![payload]);
     }
 }
 
 impl Transport for Box<dyn Transport> {
-    fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
-        (**self).send(from, to, payload);
-    }
-
     fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
         (**self).send_many(from, to, payloads);
     }
 }
 
-/// Which socket transport a cluster deploys over; the in-memory
-/// transport is a separate assembly path (no sockets to choose).
+/// Which transport a cluster deploys over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SocketBackend {
+pub(crate) enum Backend {
+    /// [`InMemoryTransport`]: crossbeam channels, no sockets.
+    InMemory,
     /// [`TcpTransport`]: blocking writer thread per destination, read
     /// thread per accepted connection.
-    Blocking,
+    Tcp,
     /// [`crate::ReactorTransport`]: one non-blocking event-loop thread
     /// owning every socket.
     Reactor,
 }
 
-impl SocketBackend {
-    /// Spawns the chosen backend for process `me`, erased behind the
-    /// [`Transport`] trait object so cluster assembly is
-    /// backend-generic.
+impl Backend {
+    /// Spawns one transport per process, process `i` delivering to
+    /// `inboxes[i]`, each erased behind the [`Transport`] trait object
+    /// so cluster assembly is backend-generic.
     ///
     /// # Errors
     ///
-    /// Propagates socket setup failures (the reactor switches the
-    /// listener into non-blocking mode).
-    pub(crate) fn spawn(
+    /// Propagates socket setup failures.
+    pub(crate) fn spawn_all(
         self,
-        me: ProcessId,
-        peers: Vec<std::net::SocketAddr>,
-        listener: TcpListener,
-        inbox: Sender<(ProcessId, Bytes)>,
-        obs: ObserverHandle,
-    ) -> Result<Box<dyn Transport>, RuntimeError> {
-        Ok(match self {
-            SocketBackend::Blocking => {
+        inboxes: Vec<Sender<(ProcessId, Bytes)>>,
+        obs: &ObserverHandle,
+    ) -> Result<Vec<Box<dyn Transport>>, RuntimeError> {
+        let n = inboxes.len();
+        if self == Backend::InMemory {
+            let shared = InMemoryTransport {
+                inboxes: Arc::new(inboxes),
+            };
+            return Ok((0..n)
+                .map(|_| Box::new(shared.clone()) as Box<dyn Transport>)
+                .collect());
+        }
+        let (listeners, addrs): (Vec<_>, Vec<_>) = (0..n)
+            .map(|_| TcpTransport::bind_ephemeral())
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
+        let mut transports: Vec<Box<dyn Transport>> = Vec::with_capacity(n);
+        for (i, (listener, inbox)) in listeners.into_iter().zip(inboxes).enumerate() {
+            let (me, peers, obs) = (ProcessId::new(i as u32), addrs.clone(), obs.clone());
+            transports.push(if self == Backend::Tcp {
                 Box::new(TcpTransport::spawn(me, peers, listener, inbox, obs))
-            }
-            SocketBackend::Reactor => Box::new(crate::ReactorTransport::spawn(
-                me, peers, listener, inbox, obs,
-            )?),
-        })
+            } else {
+                Box::new(crate::ReactorTransport::spawn(
+                    me, peers, listener, inbox, obs,
+                )?)
+            });
+        }
+        Ok(transports)
     }
 }
 
@@ -92,15 +101,15 @@ impl SocketBackend {
 /// sent to the returned sender arrives at `inbox` `delay` later, in
 /// order. A zero delay returns `inbox` unchanged.
 ///
-/// This is the receive-side counterpart of
-/// [`InMemoryTransport::with_delay`], used to give the socket backends
-/// the same `link_delay` semantics: socket payloads already carry real
-/// (tiny) localhost latency, and this adds the configured wall-clock
-/// component on delivery. Two threads keep the emulation honest under
-/// load: a stamper that assigns each payload its maturity instant the
-/// moment it arrives (so delays never compound while the line sleeps),
-/// and the delay line that holds payloads until maturity. Both exit
-/// when the returned sender's clones are dropped.
+/// Cluster assembly wraps every node's inbox this way, on every
+/// backend, so a given `link_delay` means the same thing everywhere:
+/// socket payloads already carry real (tiny) localhost latency, and
+/// this adds the configured wall-clock component on delivery. Two
+/// threads keep the emulation honest under load: a stamper that assigns
+/// each payload its maturity instant the moment it arrives (so delays
+/// never compound while the line sleeps), and the delay line that holds
+/// payloads until maturity. Both exit when the returned sender's clones
+/// are dropped.
 pub(crate) fn delayed_inbox(
     delay: std::time::Duration,
     inbox: Sender<(ProcessId, Bytes)>,
@@ -136,126 +145,48 @@ pub(crate) fn delayed_inbox(
     tx
 }
 
-/// A payload queued on the delay line:
-/// `(maturity instant, from, to, payload)`.
-type DelayedPayload = (std::time::Instant, ProcessId, ProcessId, Bytes);
-
-/// In-memory transport: each node's inbox is a crossbeam channel.
-///
-/// A multi-payload [`Transport::send_many`] is coalesced into one
-/// channel send carrying a packed frame; receivers split it back apart
-/// with [`codec::unpack_frame`] (the runtime node does this for every
-/// inbox payload).
-///
-/// [`InMemoryTransport::with_delay`] adds an emulated one-way link
-/// latency: every payload is held on a single delay-line thread for the
-/// configured duration before reaching its inbox. Because the delay is
-/// uniform and the line is FIFO, per-link ordering is preserved exactly
-/// as in the zero-delay transport. This turns the in-memory cluster
-/// into a deployment where commit latency is wall-clock-bound rather
-/// than CPU-bound — the regime real WAN deployments live in, and the
-/// one where pipelining and sharding visibly buy throughput.
+/// In-memory transport: each node's inbox is a crossbeam channel, and a
+/// [`Transport::send_many`] burst is one channel send carrying one
+/// packed frame.
 ///
 /// # Example
 ///
 /// ```rust
-/// use twostep_runtime::{InMemoryTransport, Transport};
+/// use twostep_runtime::{codec, InMemoryTransport, Transport};
 /// use twostep_types::ProcessId;
 /// use bytes::Bytes;
 ///
 /// let (transport, inboxes) = InMemoryTransport::new(3);
 /// transport.send(ProcessId::new(0), ProcessId::new(2), Bytes::from_static(b"hi"));
-/// let (from, payload) = inboxes[2].recv().unwrap();
+/// let (from, frame) = inboxes[2].recv().unwrap();
 /// assert_eq!(from, ProcessId::new(0));
-/// assert_eq!(&payload[..], b"hi");
+/// let msgs: Vec<&[u8]> = codec::frame_messages(&frame).unwrap().collect();
+/// assert_eq!(msgs, vec![&b"hi"[..]]);
 /// ```
 #[derive(Clone)]
 pub struct InMemoryTransport {
     inboxes: Arc<Vec<Sender<(ProcessId, Bytes)>>>,
-    /// When set, payloads detour through the delay-line thread instead
-    /// of going straight to the destination inbox; the duration is the
-    /// one-way latency added to every payload.
-    delay_line: Option<(std::time::Duration, Sender<DelayedPayload>)>,
 }
 
 impl InMemoryTransport {
     /// Creates a transport for `n` processes, returning the receiving
     /// ends of the inboxes in process order.
-    pub fn new(n: usize) -> (Self, Vec<crossbeam::channel::Receiver<(ProcessId, Bytes)>>) {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+    pub fn new(n: usize) -> (Self, Vec<Receiver<(ProcessId, Bytes)>>) {
+        let (senders, receivers) = (0..n).map(|_| crossbeam::channel::unbounded()).unzip();
         (
             InMemoryTransport {
                 inboxes: Arc::new(senders),
-                delay_line: None,
             },
             receivers,
         )
     }
-
-    /// Like [`InMemoryTransport::new`], but every payload is delivered
-    /// `delay` after it is sent (emulated one-way link latency).
-    ///
-    /// A zero `delay` is the plain instant transport. Otherwise one
-    /// delay-line thread is spawned; it exits when every transport
-    /// clone is dropped. Uniform delay + FIFO line means per-link (and
-    /// in fact global) send order is preserved.
-    pub fn with_delay(
-        n: usize,
-        delay: std::time::Duration,
-    ) -> (Self, Vec<crossbeam::channel::Receiver<(ProcessId, Bytes)>>) {
-        let (mut transport, receivers) = Self::new(n);
-        if delay.is_zero() {
-            return (transport, receivers);
-        }
-        let (dtx, drx) = crossbeam::channel::unbounded::<DelayedPayload>();
-        let inboxes = Arc::clone(&transport.inboxes);
-        thread::Builder::new()
-            .name("twostep-delay-line".into())
-            .spawn(move || {
-                while let Ok((deliver_at, from, to, payload)) = drx.recv() {
-                    let now = std::time::Instant::now();
-                    if deliver_at > now {
-                        thread::sleep(deliver_at - now);
-                    }
-                    if let Some(tx) = inboxes.get(to.index()) {
-                        // A closed inbox means the destination crashed: drop.
-                        let _ = tx.send((from, payload));
-                    }
-                }
-            })
-            .expect("spawn delay-line thread");
-        transport.delay_line = Some((delay, dtx));
-        (transport, receivers)
-    }
 }
 
 impl Transport for InMemoryTransport {
-    fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
-        if let Some((delay, line)) = &self.delay_line {
-            // Stamp the maturity instant at send time; the delay-line
-            // thread holds the payload until the stamp matures. A send
-            // failure only means global teardown — drop it, matching
-            // the crash-stop convention.
-            let _ = line.send((std::time::Instant::now() + *delay, from, to, payload));
-            return;
-        }
+    fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
         if let Some(tx) = self.inboxes.get(to.index()) {
             // A closed inbox means the destination crashed: drop.
-            let _ = tx.send((from, payload));
-        }
-    }
-
-    fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
-        match payloads.len() {
-            0 => {}
-            1 => self.send(from, to, payloads.into_iter().next().expect("len checked")),
-            _ => self.send(from, to, codec::pack_frame(&payloads)),
+            let _ = tx.send((from, codec::pack_frame(&payloads)));
         }
     }
 }
@@ -265,12 +196,12 @@ impl Transport for InMemoryTransport {
 /// destination.
 ///
 /// Wire format per connection: a 4-byte little-endian sender id
-/// handshake, then frames of `[len: u32 LE][payload]`. A payload is
-/// either a single encoded message or a coalesced multi-message frame
-/// ([`codec::pack_frame`]); the receive path forwards each payload to
-/// the inbox whole, and consumers iterate coalesced frames in place
-/// with [`codec::frame_messages`] — the same contract as the in-memory
-/// and reactor backends.
+/// handshake, then `[len: u32 LE][payload]` records whose payload is a
+/// [`codec::pack_frame`] frame; the receive path forwards each frame to
+/// the inbox whole, and consumers iterate its messages in place with
+/// [`codec::frame_messages`] — the same contract as the in-memory and
+/// reactor backends. A length prefix above [`MAX_FRAME_LEN`] closes the
+/// connection.
 ///
 /// Sends are asynchronous: [`Transport::send`] enqueues and returns.
 /// The destination's writer thread drains its queue — everything queued
@@ -298,6 +229,19 @@ pub const RECONNECT_BACKOFF: std::time::Duration = std::time::Duration::from_mil
 
 /// Upper bound on messages coalesced into one wire frame.
 pub const MAX_COALESCE: usize = 128;
+
+/// Upper bound on a wire frame's length prefix; both socket read paths
+/// close a connection that announces a longer frame, instead of
+/// allocating whatever a peer claims (up to 4 GiB).
+///
+/// A frame is an 8-byte header and at most [`MAX_COALESCE`] messages,
+/// each behind a 4-byte length and an 8-byte shard envelope. The
+/// largest message the workspace encodes is an SMR slot message
+/// carrying one batch of commands: on the order of a KiB at the batch
+/// sizes the benchmarks run (at most 16 short KV commands). A 1 MiB
+/// allowance per message leaves three orders of magnitude of headroom,
+/// so the bound (just over 128 MiB) never cuts a legitimate frame.
+pub const MAX_FRAME_LEN: usize = 8 + MAX_COALESCE * (4 + 8 + (1 << 20));
 
 impl TcpTransport {
     /// Binds a listener on an OS-assigned localhost port and returns its
@@ -358,12 +302,6 @@ impl TcpTransport {
 }
 
 impl Transport for Arc<TcpTransport> {
-    fn send(&self, _from: ProcessId, to: ProcessId, payload: Bytes) {
-        if let Some(q) = self.queue_to(to) {
-            let _ = q.send(payload);
-        }
-    }
-
     fn send_many(&self, _from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
         if let Some(q) = self.queue_to(to) {
             for p in payloads {
@@ -388,12 +326,7 @@ fn writer_loop(inner: Arc<TcpInner>, to: ProcessId, rx: Receiver<Bytes>) {
                 Err(_) => break,
             }
         }
-        let frame = if flush.len() == 1 {
-            // Single message: legacy payload, no frame envelope.
-            flush[0].clone()
-        } else {
-            codec::pack_frame(&flush)
-        };
+        let frame = codec::pack_frame(&flush);
         if write_frame(&inner, &mut conn, to, &frame) {
             continue;
         }
@@ -458,6 +391,9 @@ fn read_loop(mut stream: TcpStream, inbox: Sender<(ProcessId, Bytes)>) {
             return;
         }
         let len = u32::from_le_bytes(len_buf) as usize;
+        if len > MAX_FRAME_LEN {
+            return; // framing cannot be trusted: close the connection
+        }
         let mut payload = vec![0u8; len];
         if stream.read_exact(&mut payload).is_err() {
             return;
@@ -517,9 +453,9 @@ mod tests {
         t.send(p(0), p(1), Bytes::from_static(b"a"));
         t.send(p(2), p(1), Bytes::from_static(b"b"));
         t.send(p(1), p(0), Bytes::from_static(b"c"));
-        let got1: Vec<_> = (0..2).map(|_| inboxes[1].recv().unwrap()).collect();
-        assert_eq!(got1[0], (p(0), Bytes::from_static(b"a")));
-        assert_eq!(got1[1], (p(2), Bytes::from_static(b"b")));
+        let got1 = recv_messages(&inboxes[1], 2);
+        assert_eq!(got1[0], (p(0), b"a".to_vec()));
+        assert_eq!(got1[1], (p(2), b"b".to_vec()));
         assert_eq!(inboxes[0].recv().unwrap().0, p(1));
         assert!(inboxes[2].is_empty());
     }
@@ -536,24 +472,6 @@ mod tests {
     fn memory_transport_out_of_range_destination_is_dropped() {
         let (t, _inboxes) = InMemoryTransport::new(2);
         t.send(p(0), p(9), Bytes::from_static(b"x"));
-    }
-
-    #[test]
-    fn delayed_memory_transport_holds_payloads_for_the_link_latency() {
-        let (t, inboxes) = InMemoryTransport::with_delay(2, Duration::from_millis(20));
-        let sent = std::time::Instant::now();
-        t.send(p(0), p(1), Bytes::from_static(b"a"));
-        t.send(p(0), p(1), Bytes::from_static(b"b"));
-        let (from, first) = inboxes[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(
-            sent.elapsed() >= Duration::from_millis(20),
-            "payload delivered after {:?}, before the 20ms link latency",
-            sent.elapsed()
-        );
-        assert_eq!((from, &first[..]), (p(0), &b"a"[..]));
-        // Uniform delay + FIFO line: send order is delivery order.
-        let (_, second) = inboxes[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(&second[..], b"b");
     }
 
     #[test]
@@ -586,14 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_delay_memory_transport_skips_the_delay_line() {
-        let (t, inboxes) = InMemoryTransport::with_delay(1, Duration::ZERO);
-        t.send(p(0), p(0), Bytes::from_static(b"x"));
-        // Delivery is synchronous with the send — no thread detour.
-        assert_eq!(inboxes[0].try_recv().unwrap().1, Bytes::from_static(b"x"));
-    }
-
-    #[test]
     fn memory_transport_coalesces_bursts_into_one_channel_send() {
         let (t, inboxes) = InMemoryTransport::new(2);
         let burst = vec![
@@ -606,10 +516,11 @@ mod tests {
         let (from, packed) = inboxes[1].recv().unwrap();
         assert_eq!(from, p(0));
         assert!(inboxes[1].is_empty());
-        assert_eq!(codec::unpack_frame(&packed).unwrap(), burst);
-        // A one-element burst stays a legacy payload.
+        assert_eq!(packed, codec::pack_frame(&burst));
+        // A one-element burst is framed too.
         t.send_many(p(0), p(1), vec![Bytes::from_static(b"solo")]);
-        assert_eq!(&inboxes[1].recv().unwrap().1[..], b"solo");
+        let (_, solo) = inboxes[1].recv().unwrap();
+        assert_eq!(solo, codec::pack_frame(&[Bytes::from_static(b"solo")]));
     }
 
     #[test]
@@ -624,15 +535,11 @@ mod tests {
         let t1 = tcp(p(1), peers, l1, tx1);
 
         t0.send(p(0), p(1), Bytes::from_static(b"hello"));
-        let (from, payload) = rx1.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(from, p(0));
-        assert_eq!(&payload[..], b"hello");
+        assert_eq!(recv_messages(&rx1, 1), vec![(p(0), b"hello".to_vec())]);
 
         // Reply on the reverse direction (separate connection).
         t1.send(p(1), p(0), Bytes::from_static(b"world"));
-        let (from, payload) = rx0.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(from, p(1));
-        assert_eq!(&payload[..], b"world");
+        assert_eq!(recv_messages(&rx0, 1), vec![(p(1), b"world".to_vec())]);
 
         // Multiple sends keep their boundaries and order — whether or
         // not the writer coalesced them into one wire frame, the
@@ -788,5 +695,28 @@ mod tests {
             rx1.recv_timeout(Duration::from_secs(5)).unwrap(),
             (p(3), Bytes::from_static(b"second"))
         );
+    }
+
+    /// A length prefix beyond [`MAX_FRAME_LEN`] closes the connection
+    /// instead of allocating the advertised size.
+    #[test]
+    fn tcp_read_closes_connection_on_oversized_length_prefix() {
+        let (l1, a1) = TcpTransport::bind_ephemeral().unwrap();
+        let (tx1, rx1) = unbounded();
+        let _t1 = tcp(p(1), vec![a1], l1, tx1);
+
+        let mut stream = TcpStream::connect(a1).unwrap();
+        stream.write_all(&7u32.to_le_bytes()).unwrap(); // handshake
+        let prefix = u32::try_from(MAX_FRAME_LEN + 1).unwrap();
+        stream.write_all(&prefix.to_le_bytes()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = [0u8; 1];
+        assert!(
+            matches!(stream.read(&mut buf), Ok(0)),
+            "the reader must close the connection on an oversized prefix"
+        );
+        assert!(rx1.try_recv().is_err(), "nothing may reach the inbox");
     }
 }

@@ -115,39 +115,38 @@ proptest! {
         }
     }
 
-    /// Multi-message frames roundtrip: packing any list of encoded
-    /// messages and unpacking yields the same payloads in order.
+    /// Frames roundtrip: packing any list of encoded messages and
+    /// iterating the frame yields the same payloads in order.
     #[test]
     fn multi_message_frames_roundtrip(nodes in proptest::collection::vec(node_strategy(), 1..8)) {
-        use twostep_runtime::codec::{pack_frame, unpack_frame};
+        use twostep_runtime::codec::{frame_messages, pack_frame};
 
         let payloads: Vec<bytes::Bytes> = nodes
             .iter()
             .map(|n| bytes::Bytes::from(to_bytes(n).unwrap()))
             .collect();
         let frame = pack_frame(&payloads);
-        let back = unpack_frame(&frame).expect("packed frame must unpack");
+        let back = frame_messages(&frame).expect("packed frame must parse");
         prop_assert_eq!(back.len(), nodes.len());
-        for (bytes, node) in back.iter().zip(&nodes) {
-            let decoded: Node = from_bytes(bytes.as_slice()).expect("decode");
+        for (bytes, node) in back.zip(&nodes) {
+            let decoded: Node = from_bytes(bytes).expect("decode");
             prop_assert_eq!(&decoded, node);
         }
     }
 
-    /// Truncating a packed frame anywhere past the magic word is
-    /// rejected cleanly (no panic, no partial delivery).
+    /// Truncating a packed frame anywhere is rejected cleanly (no
+    /// panic, no partial delivery).
     #[test]
-    fn truncated_frames_rejected(nodes in proptest::collection::vec(node_strategy(), 1..5), cut in 4usize..2048) {
-        use twostep_runtime::codec::unpack_frame;
+    fn truncated_frames_rejected(nodes in proptest::collection::vec(node_strategy(), 1..5), cut in 0usize..2048) {
+        use twostep_runtime::codec::{frame_messages, pack_frame};
 
         let payloads: Vec<bytes::Bytes> = nodes
             .iter()
             .map(|n| bytes::Bytes::from(to_bytes(n).unwrap()))
             .collect();
-        let frame = twostep_runtime::codec::pack_frame(&payloads);
+        let frame = pack_frame(&payloads);
         let cut = cut.min(frame.len().saturating_sub(1));
-        let truncated = bytes::Bytes::from(frame.as_slice()[..cut].to_vec());
-        prop_assert!(unpack_frame(&truncated).is_err(), "cut at {} must error", cut);
+        prop_assert!(frame_messages(&frame.as_slice()[..cut]).is_err(), "cut at {} must error", cut);
     }
 
     /// Truncating any strict prefix of an encoding never panics — it
@@ -167,81 +166,13 @@ proptest! {
 // the per-message-allocation-free hot path depends on.
 // ---------------------------------------------------------------------
 
-/// A frame payload as a transport would flush it: one message uses the
-/// legacy unframed layout, several coalesce under [`FRAME_MAGIC`].
+/// A frame payload as a transport would flush it.
 fn flush_payload(msgs: &[Vec<u8>]) -> Vec<u8> {
-    use twostep_runtime::codec::pack_frame;
-    match msgs {
-        [single] => single.clone(),
-        many => {
-            let owned: Vec<bytes::Bytes> =
-                many.iter().map(|m| bytes::Bytes::from(m.clone())).collect();
-            pack_frame(&owned).to_vec()
-        }
-    }
-}
-
-/// Messages that cannot be mistaken for a coalesced frame (a legacy
-/// single-message flush is passed through verbatim, so a message that
-/// itself starts with [`FRAME_MAGIC`] would be re-parsed — the real
-/// transports never produce one: every protocol payload is a postcard
-/// encoding or a [`SHARD_MAGIC`] envelope).
-fn legacy_safe_message() -> impl Strategy<Value = Vec<u8>> {
-    use twostep_runtime::codec::FRAME_MAGIC;
-    proptest::collection::vec(any::<u8>(), 0..80).prop_map(|mut m| {
-        if m.len() >= 4 && m[..4] == FRAME_MAGIC.to_le_bytes() {
-            m[0] ^= 1; // break the accidental magic collision
-        }
-        m
-    })
+    let owned: Vec<bytes::Bytes> = msgs.iter().map(|m| bytes::Bytes::from(m.clone())).collect();
+    twostep_runtime::codec::pack_frame(&owned).to_vec()
 }
 
 proptest! {
-    /// The borrowing iterator agrees with the allocating
-    /// `unpack_frame` on every packed frame, and on legacy payloads it
-    /// yields the input verbatim as a single message.
-    #[test]
-    fn frame_messages_agrees_with_unpack_frame(
-        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..8),
-    ) {
-        use twostep_runtime::codec::{frame_messages, pack_frame, unpack_frame};
-
-        let owned: Vec<bytes::Bytes> =
-            msgs.iter().map(|m| bytes::Bytes::from(m.clone())).collect();
-        let frame = pack_frame(&owned);
-        let alloc: Vec<Vec<u8>> = unpack_frame(&frame)
-            .unwrap()
-            .iter()
-            .map(|b| b.to_vec())
-            .collect();
-        let borrowed: Vec<Vec<u8>> = frame_messages(&frame)
-            .unwrap()
-            .map(<[u8]>::to_vec)
-            .collect();
-        prop_assert_eq!(&borrowed, &alloc);
-        prop_assert_eq!(&borrowed, &msgs);
-    }
-
-    /// Legacy (untagged, unframed) payloads pass through both
-    /// zero-copy entry points untouched: one message, shard 0, and the
-    /// returned slice is the input itself.
-    #[test]
-    fn legacy_payloads_pass_through_untouched(msg in legacy_safe_message()) {
-        use twostep_runtime::codec::{frame_messages, split_shard_ref, SHARD_MAGIC};
-
-        let out: Vec<&[u8]> = frame_messages(&msg).unwrap().collect();
-        prop_assert_eq!(out.len(), 1);
-        prop_assert_eq!(out[0], &msg[..]);
-
-        // Shard routing: anything not carrying the shard magic reads
-        // back as shard 0 with the payload intact.
-        if msg.len() < 8 || msg[..4] != SHARD_MAGIC.to_le_bytes() {
-            let (shard, inner) = split_shard_ref(&msg).unwrap();
-            prop_assert_eq!(shard, 0);
-            prop_assert_eq!(inner, &msg[..]);
-        }
-    }
-
     /// Feeding a stream of flushes through the reusable read buffer in
     /// arbitrarily-sized readiness chunks recovers every frame — and
     /// every message inside every frame — byte-identically, no matter
@@ -249,7 +180,7 @@ proptest! {
     #[test]
     fn assembler_recovers_messages_under_arbitrary_chunking(
         flushes in proptest::collection::vec(
-            proptest::collection::vec(legacy_safe_message(), 1..5),
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..80), 1..5),
             1..6,
         ),
         chunks in proptest::collection::vec(1usize..48, 1..12),
@@ -278,7 +209,7 @@ proptest! {
             slot[..take].copy_from_slice(&wire[offset..offset + take]);
             asm.commit(take);
             offset += take;
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 for m in frame_messages(frame).expect("reassembled frame must parse") {
                     got.push(m.to_vec());
                 }
@@ -313,7 +244,7 @@ proptest! {
             let slot = asm.read_slot(piece.len());
             slot[..piece.len()].copy_from_slice(piece);
             asm.commit(piece.len());
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 frames.push(frame.to_vec());
             }
         }

@@ -10,10 +10,11 @@
 //! * **FIFO per peer**: one sender's messages toward one receiver
 //!   arrive in send order, whether sent singly or in bursts, and
 //!   interleaved senders never corrupt each other's order.
-//! * **Coalescing**: a [`Transport::send_many`] burst keeps message
-//!   boundaries and order; consumers see individual messages by
-//!   iterating frames in place ([`codec::frame_messages`] — the same
-//!   normalization the runtime node performs on every inbox payload).
+//! * **One frame layout**: every inbox payload is a frame, and a
+//!   [`Transport::send_many`] burst keeps message boundaries and order;
+//!   consumers see individual messages by iterating frames in place
+//!   ([`codec::frame_messages`] — exactly what the runtime node does
+//!   with every inbox payload).
 //! * **Shard-tag routing**: [`codec::tag_shard`] envelopes cross the
 //!   wire byte-identically, nested inside coalesced frames, surviving
 //!   the socket backends' partial reads.
@@ -296,21 +297,6 @@ fn conformance_shard_tags_survive_transit_byte_identically() {
                 "{backend:?}: inner payload corrupted"
             );
         }
-    }
-}
-
-#[test]
-fn conformance_untagged_payloads_route_to_shard_zero() {
-    for backend in ALL_BACKENDS {
-        let d = deploy(backend, 2);
-        d.send(0, 1, b"legacy untagged");
-        let got = d.recv_messages(1, 1);
-        let (shard, inner) = codec::split_shard_ref(&got[0].1).unwrap();
-        assert_eq!(
-            (shard, inner),
-            (0, &b"legacy untagged"[..]),
-            "{backend:?}: legacy payload must read back as shard 0"
-        );
     }
 }
 

@@ -156,16 +156,20 @@ fn lost_slot_is_retried_in_fresh_slot() {
 
 #[test]
 fn kv_over_threaded_runtime() {
-    use twostep_runtime::Cluster;
+    use twostep_runtime::ClusterBuilder;
 
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
-    let cluster: Cluster<KvCommand> =
-        Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| replica(cfg, q));
-    cluster.propose(p(0), KvCommand::put("city", "huatulco"));
+    let cluster = ClusterBuilder::new(cfg)
+        .wall_delta(WallDuration::from_millis(10))
+        .build(|q| replica(cfg, q))
+        .expect("in-memory build cannot fail");
+    let command = KvCommand::put("city", "huatulco");
+    cluster.proxy_client(p(0)).propose(command.clone());
     // The decide stream reports applied commands.
-    let decided = cluster.await_decision(p(0), WallDuration::from_secs(10));
-    assert_eq!(decided, Some(KvCommand::put("city", "huatulco")));
-    assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(10)));
+    for q in cfg.process_ids() {
+        let decided = cluster.await_decision(0, q, WallDuration::from_secs(10));
+        assert_eq!(decided.as_ref(), Some(&command), "{q}");
+    }
     assert!(cluster.agreement());
 }
 

@@ -9,7 +9,7 @@
 //! 2. The same protocol over real threads and an in-memory transport.
 //! 3. The same protocol over localhost TCP.
 
-use std::time::Duration as WallDuration;
+use std::time::{Duration as WallDuration, Instant};
 
 use twostep::core::{ObjectConsensus, TaskConsensus};
 use twostep::runtime::Cluster;
@@ -55,13 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build(|p| ObjectConsensus::new(cfg, p))
         .expect("in-memory build cannot fail");
     let proxy = ProcessId::new(4);
-    cluster.propose(proxy, 42);
+    let submitted = Instant::now();
+    cluster.proxy_client(proxy).propose(42);
     let decided = cluster
-        .await_decision(proxy, WallDuration::from_secs(5))
+        .await_decision(0, proxy, WallDuration::from_secs(5))
         .expect("proxy decides");
     println!(
         "threads:   proxy {proxy} decided {decided} in {:?}",
-        cluster.decision_latency(proxy).expect("latency recorded")
+        submitted.elapsed()
     );
     assert_eq!(decided, 42);
 
@@ -73,9 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .tcp()
         .wall_delta(WallDuration::from_millis(10))
         .build(|p| ObjectConsensus::new(cfg, p))?;
-    cluster.propose(ProcessId::new(0), 7);
+    cluster.proxy_client(ProcessId::new(0)).propose(7);
     let decided = cluster
-        .await_decision(ProcessId::new(0), WallDuration::from_secs(10))
+        .await_decision(0, ProcessId::new(0), WallDuration::from_secs(10))
         .expect("proxy decides over tcp");
     println!("tcp:       p0 decided {decided}");
     assert_eq!(decided, 7);

@@ -6,7 +6,7 @@
 use std::time::Duration as WallDuration;
 
 use twostep::core::{Msg, ObjectConsensus, OmegaMode, TaskConsensus, TwoStepBuilder};
-use twostep::runtime::Cluster;
+use twostep::runtime::{Cluster, ClusterBuilder};
 use twostep::sim::{ManualExecutor, SyncRunner};
 use twostep::types::protocol::Protocol;
 use twostep::types::{ProcessId, SystemConfig, Time};
@@ -71,16 +71,26 @@ fn simulator_and_threads_agree_on_object_consensus() {
     );
     assert_eq!(sim_outcome.decision_of(proposer), Some(&42));
 
-    let cluster: Cluster<u64> = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| {
-        ObjectConsensus::new(cfg, q)
-    });
-    cluster.propose(proposer, 42);
-    assert_eq!(
-        cluster.await_decision(proposer, WallDuration::from_secs(5)),
-        Some(42)
-    );
-    assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(5)));
+    let cluster = object_cluster(cfg, ClusterBuilder::in_memory);
+    cluster.proxy_client(proposer).propose(42);
+    for q in cfg.process_ids() {
+        assert_eq!(
+            cluster.await_decision(0, q, WallDuration::from_secs(5)),
+            Some(42),
+            "{q}"
+        );
+    }
     assert!(cluster.agreement());
+}
+
+/// A one-group threaded cluster of object-protocol instances.
+fn object_cluster(
+    cfg: SystemConfig,
+    transport: fn(ClusterBuilder) -> ClusterBuilder,
+) -> Cluster<u64> {
+    transport(ClusterBuilder::new(cfg).wall_delta(WallDuration::from_millis(10)))
+        .build(|q| ObjectConsensus::new(cfg, q))
+        .expect("cluster build")
 }
 
 /// TCP and in-memory transports produce identical decisions for the
@@ -88,20 +98,14 @@ fn simulator_and_threads_agree_on_object_consensus() {
 #[test]
 fn transports_agree() {
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
-    for tcp in [false, true] {
-        let cluster: Cluster<u64> = if tcp {
-            Cluster::tcp(cfg, WallDuration::from_millis(10), |q| {
-                ObjectConsensus::new(cfg, q)
-            })
-            .expect("tcp cluster")
-        } else {
-            Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| {
-                ObjectConsensus::new(cfg, q)
-            })
-        };
-        cluster.propose(p(1), 77);
+    for (tcp, transport) in [
+        (false, ClusterBuilder::in_memory as fn(_) -> _),
+        (true, ClusterBuilder::tcp),
+    ] {
+        let cluster = object_cluster(cfg, transport);
+        cluster.proxy_client(p(1)).propose(77);
         assert_eq!(
-            cluster.await_decision(p(1), WallDuration::from_secs(10)),
+            cluster.await_decision(0, p(1), WallDuration::from_secs(10)),
             Some(77),
             "tcp={tcp}"
         );
@@ -114,15 +118,13 @@ fn transports_agree() {
 #[test]
 fn threaded_cluster_with_crashes_decides() {
     let cfg = SystemConfig::minimal_object(2, 2).unwrap();
-    let mut cluster: Cluster<u64> = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| {
-        ObjectConsensus::new(cfg, q)
-    });
+    let mut cluster = object_cluster(cfg, ClusterBuilder::in_memory);
     cluster.crash(p(0));
     cluster.crash(p(1));
-    cluster.propose(p(4), 9);
+    cluster.proxy_client(p(4)).propose(9);
     for i in 2..5u32 {
         assert_eq!(
-            cluster.await_decision(p(i), WallDuration::from_secs(10)),
+            cluster.await_decision(0, p(i), WallDuration::from_secs(10)),
             Some(9),
             "p{i}"
         );
@@ -309,7 +311,7 @@ fn batched_smr_agrees_across_engines() {
 }
 
 /// Four independent consensus groups — one per shard, each with its
-/// rotated leader, exactly as [`twostep::runtime::ShardedCluster`]
+/// rotated leader, exactly as [`twostep::runtime::Cluster`]
 /// deploys them — driven by the manual executor under seeded
 /// schedules. Two guarantees are pinned per seed: every group reaches
 /// Agreement on its own log (survivor logs and applied streams are
