@@ -198,7 +198,7 @@ impl ClusterBuilder {
         P: Protocol<V> + 'static,
         F: FnMut(ProcessId) -> P,
     {
-        self.deploy(ShardRouter::new(1), Arc::new(|_| 0), |p, _| make(p))
+        self.deploy(ShardRouter::new(1), Arc::new(|_| 0), |p, _, _| make(p))
     }
 
     /// Builds a cluster of SMR replicas replicating state machine `S`
@@ -250,34 +250,21 @@ impl ClusterBuilder {
         let router = ShardRouter::new(self.shards);
         let route = Arc::new(move |c: &C| router.route(c.route_key().as_ref()));
         let (cfg, batch, pipeline) = (self.cfg, self.batch, self.pipeline);
-        let observers = self.shard_observer_list(router.shards());
-        self.deploy(router, route, move |p, s| {
+        self.deploy(router, route, move |p, s, obs| {
             SmrReplicaBuilder::new(cfg, p)
                 .pipeline(pipeline)
                 .batch(batch)
                 .leader_rotation(s)
-                .observed(observers[s as usize].clone())
+                .observed(obs.clone())
                 .build::<C, S>()
         })
     }
 
-    /// The observer of each of `k` shards: its
+    /// Deploys `router.shards()` groups: node `p` hosts
+    /// `make(p, s, obs)` for every shard `s`, where `obs` is the shard's
     /// [`ClusterBuilder::shard_observers`] entry, else the cluster-wide
-    /// one.
-    fn shard_observer_list(&self, k: usize) -> Vec<ObserverHandle> {
-        (0..k)
-            .map(|s| {
-                self.shard_obs
-                    .get(s)
-                    .cloned()
-                    .unwrap_or_else(|| self.obs.clone())
-            })
-            .collect()
-    }
-
-    /// Deploys `router.shards()` groups: node `p` hosts `make(p, s)` for
-    /// every shard `s`, behind one inbox (delayed by the link latency)
-    /// and one transport endpoint of the chosen backend.
+    /// one. Each node sits behind one inbox (delayed by the link
+    /// latency) and one transport endpoint of the chosen backend.
     fn deploy<V, P, F>(
         self,
         router: ShardRouter,
@@ -287,7 +274,7 @@ impl ClusterBuilder {
     where
         V: Value,
         P: Protocol<V> + 'static,
-        F: FnMut(ProcessId, u32) -> P,
+        F: FnMut(ProcessId, u32, &ObserverHandle) -> P,
     {
         let (senders, inboxes): (Vec<_>, Vec<_>) = (0..self.cfg.n())
             .map(|_| {
@@ -296,7 +283,9 @@ impl ClusterBuilder {
             })
             .unzip();
         let transports = self.transport.spawn_all(senders, &self.obs)?;
-        let observers = self.shard_observer_list(router.shards());
+        let observers: Vec<ObserverHandle> = (0..router.shards())
+            .map(|s| self.shard_obs.get(s).unwrap_or(&self.obs).clone())
+            .collect();
         let (dtx, drx) = crossbeam::channel::unbounded();
         let nodes = inboxes
             .into_iter()
@@ -304,7 +293,9 @@ impl ClusterBuilder {
             .enumerate()
             .map(|(i, (inbox, transport))| {
                 let p = ProcessId::new(i as u32);
-                let instances = (0..router.shards() as u32).map(|s| make(p, s)).collect();
+                let instances = (0..router.shards() as u32)
+                    .map(|s| make(p, s, &observers[s as usize]))
+                    .collect();
                 let opts = NodeOptions {
                     wall_delta: self.wall_delta,
                     decisions: dtx.clone(),

@@ -1105,7 +1105,7 @@ mod tests {
     #[test]
     fn truncated_shard_tag_rejected() {
         let tagged = tag_shard(3, &bytes::Bytes::from(vec![9u8; 8]));
-        for cut in [5, 7] {
+        for cut in [4, 5, 7] {
             assert_eq!(
                 split_shard_ref(&tagged[..cut]).unwrap_err(),
                 CodecError::UnexpectedEof,

@@ -27,14 +27,16 @@
 //! [payload]` records whose payload is a [`codec::pack_frame`] frame
 //! (built here as IoSlice segments rather than via `pack_frame`). The
 //! two socket backends interoperate in both directions. A length prefix
-//! above [`crate::MAX_FRAME_LEN`] closes the connection.
+//! above [`crate::MAX_FRAME_LEN`] closes the connection, and flushes
+//! never build such a frame.
 //!
 //! ## Allocation discipline
 //!
 //! Steady-state costs are **per flush / per wire frame**, never per
 //! message: a flush allocates its payload list and header block once
-//! for up to [`MAX_COALESCE`] messages, the read side reassembles into
-//! a reused buffer that grows to the high-water frame size and stops,
+//! for up to [`crate::MAX_COALESCE`] messages, the read side
+//! reassembles into a reused buffer that grows to the high-water frame
+//! size (at most [`crate::MAX_FRAME_LEN`]) and stops,
 //! and one `Bytes` is allocated per *wire frame* handed to the inbox
 //! (the node iterates its messages in place via
 //! [`codec::frame_messages`]).
@@ -67,7 +69,7 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::ProcessId;
 
 use crate::codec::{self, FrameAssembler};
-use crate::transport::{Transport, MAX_COALESCE, RECONNECT_BACKOFF};
+use crate::transport::{frame_has_room, Transport, RECONNECT_BACKOFF};
 use crate::RuntimeError;
 
 /// Park bound while any connection is open: readiness is discovered by
@@ -86,8 +88,8 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// Commands from transport handles to the reactor thread.
 enum Cmd {
-    /// Queue a burst toward `to`; flushed as one frame (up to
-    /// [`MAX_COALESCE`] per frame).
+    /// Queue a burst toward `to`; flushed as one frame within the
+    /// frame bounds ([`Flush::build`]).
     Send { to: ProcessId, payloads: Vec<Bytes> },
     /// Test hook: poison the next write toward `to` (see
     /// [`ReactorTransport::inject_write_failure`]).
@@ -229,18 +231,14 @@ impl ReactorTransport {
         })
     }
 
-    /// Test hook: makes the next first attempt at writing a frame toward
-    /// `to` fail as if the connection broke, killing the cached
-    /// connection in the process.
+    /// Test hook: makes the next write toward `to` fail as if the
+    /// connection broke, killing the cached connection in the process.
     ///
     /// This drives the reconnect path deterministically — real kernel
     /// socket teardown surfaces write errors at unpredictable points,
     /// so the seeded reconnect regression test injects the failure here
     /// instead. The poisoned write follows the production failure path
     /// exactly: whole-frame retention, backoff timer, single redial.
-    /// Each injection is one fault: one arriving while a frame awaits
-    /// its redial waits for the next frame, because failing the redial
-    /// too would be a double fault, which drops the frame by design.
     pub fn inject_write_failure(&self, to: ProcessId) {
         let _ = self.cmds.send(Cmd::FailNextWrite { to });
         self.doorbell.ring();
@@ -300,9 +298,9 @@ impl Outbound {
     }
 }
 
-/// One wire frame mid-write: up to [`MAX_COALESCE`] payloads plus the
-/// header block (`[outer len][FRAME_MAGIC][count][per-message len]…`)
-/// they share. Payload bytes are written straight from the `Bytes`
+/// One wire frame mid-write: up to [`crate::MAX_COALESCE`] payloads
+/// plus the header block
+/// (`[outer len][FRAME_MAGIC][count][per-message len]…`) they share. Payload bytes are written straight from the `Bytes`
 /// handles via `IoSlice` — never copied into a staging buffer.
 struct Flush {
     msgs: Vec<Bytes>,
@@ -314,12 +312,23 @@ struct Flush {
 }
 
 impl Flush {
-    /// Drains up to [`MAX_COALESCE`] payloads from `queue` into a frame
-    /// matching [`codec::pack_frame`] byte for byte.
+    /// Drains payloads from `queue` into a frame matching
+    /// [`codec::pack_frame`] byte for byte: up to
+    /// [`crate::MAX_COALESCE`] of them and [`crate::MAX_FRAME_LEN`]
+    /// bytes. Every queued payload fits a frame alone (oversized ones
+    /// are dropped when queued), so the frame takes at least one.
     fn build(queue: &mut VecDeque<Bytes>) -> Flush {
-        let k = queue.len().min(MAX_COALESCE);
+        let mut body_len = 8;
+        let mut k = 0;
+        for m in queue.iter() {
+            if !frame_has_room(body_len, k, m.len()) {
+                break;
+            }
+            body_len += 4 + m.len();
+            k += 1;
+        }
+        debug_assert!(k > 0, "queued payload exceeds MAX_FRAME_LEN");
         let msgs: Vec<Bytes> = queue.drain(..k).collect();
-        let body_len = 8 + msgs.iter().map(|m| 4 + m.len()).sum::<usize>();
         let mut heads = Vec::with_capacity(12 + 4 * msgs.len());
         heads.extend_from_slice(&(body_len as u32).to_le_bytes());
         heads.extend_from_slice(&codec::FRAME_MAGIC.to_le_bytes());
@@ -427,7 +436,13 @@ impl Reactor {
             match self.cmds.try_recv() {
                 Ok(Cmd::Send { to, payloads }) => {
                     if let Some(o) = self.outbound.get_mut(to.index()) {
-                        o.queue.extend(payloads);
+                        for m in payloads {
+                            if frame_has_room(8, 0, m.len()) {
+                                o.queue.push_back(m);
+                            } else {
+                                self.obs.message_dropped(self.me, to);
+                            }
+                        }
                     }
                 }
                 Ok(Cmd::FailNextWrite { to }) => {
@@ -558,7 +573,7 @@ impl Reactor {
                     }
                 }
             }
-            if o.fail_next && !o.retried {
+            if o.fail_next {
                 // Injected failure: kill the connection and take the
                 // production failure path.
                 o.fail_next = false;

@@ -24,9 +24,10 @@ use crate::{codec, RuntimeError};
 /// messages it carries.
 pub trait Transport: Send + Sync + 'static {
     /// Delivers a burst of payloads from `from` to `to`, best-effort and
-    /// in order, framed together (up to [`MAX_COALESCE`] per frame on
-    /// the socket backends) so one underlying operation (one syscall,
-    /// one channel send) moves many messages.
+    /// in order, framed together (up to [`MAX_COALESCE`] messages and
+    /// [`MAX_FRAME_LEN`] bytes per frame on the socket backends, which
+    /// drop a message too long for any frame) so one underlying
+    /// operation (one syscall, one channel send) moves many messages.
     fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>);
 
     /// Delivers one payload from `from` to `to`, best-effort: a burst
@@ -201,13 +202,13 @@ impl Transport for InMemoryTransport {
 /// the inbox whole, and consumers iterate its messages in place with
 /// [`codec::frame_messages`] — the same contract as the in-memory and
 /// reactor backends. A length prefix above [`MAX_FRAME_LEN`] closes the
-/// connection.
+/// connection, and the writer never builds such a frame.
 ///
 /// Sends are asynchronous: [`Transport::send`] enqueues and returns.
 /// The destination's writer thread drains its queue — everything queued
-/// at flush time (up to [`MAX_COALESCE`]) goes out as **one** frame and
-/// one `write` syscall, which is where batched SMR traffic stops paying
-/// a syscall per message. On a write failure the writer redials once
+/// at flush time (up to [`MAX_COALESCE`] messages and [`MAX_FRAME_LEN`]
+/// bytes) goes out as **one** frame and one `write` syscall, which is
+/// where batched SMR traffic stops paying a syscall per message. On a write failure the writer redials once
 /// (after [`RECONNECT_BACKOFF`]) before dropping the flush; drops and
 /// successful reconnects are reported to the attached observer.
 pub struct TcpTransport {
@@ -234,14 +235,25 @@ pub const MAX_COALESCE: usize = 128;
 /// close a connection that announces a longer frame, instead of
 /// allocating whatever a peer claims (up to 4 GiB).
 ///
-/// A frame is an 8-byte header and at most [`MAX_COALESCE`] messages,
-/// each behind a 4-byte length and an 8-byte shard envelope. The
-/// largest message the workspace encodes is an SMR slot message
-/// carrying one batch of commands: on the order of a KiB at the batch
-/// sizes the benchmarks run (at most 16 short KV commands). A 1 MiB
-/// allowance per message leaves three orders of magnitude of headroom,
-/// so the bound (just over 128 MiB) never cuts a legitimate frame.
-pub const MAX_FRAME_LEN: usize = 8 + MAX_COALESCE * (4 + 8 + (1 << 20));
+/// Both socket writers enforce the same bound, so it never cuts a frame
+/// they built: a flush stops coalescing before the next message would
+/// take the frame past it, and a message too long to fit even alone
+/// (over `MAX_FRAME_LEN - 12` bytes: header and its own length) is
+/// dropped at send time and reported through `message_dropped`.
+///
+/// Messages have no fixed largest size (a KV command carries arbitrary
+/// strings), so the bound is sized from [`MAX_COALESCE`]: a frame is an
+/// 8-byte header and up to [`MAX_COALESCE`] messages, each behind a
+/// 4-byte length, and a full frame fits messages of up to 64 KiB plus
+/// their 8-byte shard envelope. Longer messages share a frame with
+/// fewer others, up to about 8 MiB alone.
+pub const MAX_FRAME_LEN: usize = 8 + MAX_COALESCE * (4 + 8 + (1 << 16));
+
+/// Whether a frame of `len` bytes holding `count` messages has room for
+/// one more message of `msg` bytes; an empty frame is its 8-byte header.
+pub(crate) fn frame_has_room(len: usize, count: usize, msg: usize) -> bool {
+    count < MAX_COALESCE && len + 4 + msg <= MAX_FRAME_LEN
+}
 
 impl TcpTransport {
     /// Binds a listener on an OS-assigned localhost port and returns its
@@ -305,26 +317,42 @@ impl Transport for Arc<TcpTransport> {
     fn send_many(&self, _from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
         if let Some(q) = self.queue_to(to) {
             for p in payloads {
-                let _ = q.send(p);
+                if frame_has_room(8, 0, p.len()) {
+                    let _ = q.send(p);
+                } else {
+                    self.inner.obs.message_dropped(self.inner.me, to);
+                }
             }
         }
     }
 }
 
 /// Drains the send queue toward `to`: each iteration flushes everything
-/// queued (bounded by [`MAX_COALESCE`]) as one wire frame.
+/// queued (bounded by [`MAX_COALESCE`] and [`MAX_FRAME_LEN`]) as one
+/// wire frame.
 fn writer_loop(inner: Arc<TcpInner>, to: ProcessId, rx: Receiver<Bytes>) {
     let mut conn: Option<TcpStream> = None;
+    // A payload that did not fit the previous frame opens the next one.
+    let mut carry: Option<Bytes> = None;
     loop {
         // Block for the first payload; the queue senders dropping is the
         // shutdown signal.
-        let Ok(first) = rx.recv() else { return };
+        let first = match carry.take() {
+            Some(p) => p,
+            None => match rx.recv() {
+                Ok(p) => p,
+                Err(_) => return,
+            },
+        };
+        let mut len = 12 + first.len();
         let mut flush = vec![first];
-        while flush.len() < MAX_COALESCE {
-            match rx.try_recv() {
-                Ok(p) => flush.push(p),
-                Err(_) => break,
+        while let Ok(p) = rx.try_recv() {
+            if !frame_has_room(len, flush.len(), p.len()) {
+                carry = Some(p);
+                break;
             }
+            len += 4 + p.len();
+            flush.push(p);
         }
         let frame = codec::pack_frame(&flush);
         if write_frame(&inner, &mut conn, to, &frame) {

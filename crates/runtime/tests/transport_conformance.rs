@@ -21,6 +21,10 @@
 //! * **Degenerate payloads**: empty and multi-hundred-KiB messages
 //!   survive (the latter exercises the reactor's partial-write
 //!   resumption and read-buffer growth).
+//! * **Frame bounds**: a burst longer than [`MAX_FRAME_LEN`] arrives
+//!   whole and in order; the socket backends split it into frames the
+//!   read side accepts, and drop (and report) only a message too long
+//!   for any frame.
 //! * **Retry-once semantics** (socket backends): a send to a dead peer
 //!   records exactly one drop per message after the single reconnect
 //!   attempt; a live peer that tears down established connections is
@@ -36,7 +40,9 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver};
 
 use twostep_runtime::codec;
-use twostep_runtime::{InMemoryTransport, ReactorTransport, TcpTransport, Transport};
+use twostep_runtime::{
+    InMemoryTransport, ReactorTransport, TcpTransport, Transport, MAX_FRAME_LEN,
+};
 use twostep_telemetry::{Metrics, ObserverHandle};
 use twostep_types::ProcessId;
 
@@ -297,6 +303,45 @@ fn conformance_shard_tags_survive_transit_byte_identically() {
                 "{backend:?}: inner payload corrupted"
             );
         }
+    }
+}
+
+#[test]
+fn conformance_bursts_past_the_frame_bound_all_arrive() {
+    for backend in ALL_BACKENDS {
+        // Any two fit one frame, all three do not.
+        let burst: Vec<Bytes> = (0..3u8)
+            .map(|i| Bytes::from(vec![i; MAX_FRAME_LEN / 3]))
+            .collect();
+        let d = deploy(backend, 2);
+        d.send_many(0, 1, burst.clone());
+        let got = d.recv_messages(1, burst.len());
+        for (i, (want, (_, msg))) in burst.iter().zip(&got).enumerate() {
+            assert!(msg[..] == want[..], "{backend:?}: message {i} changed");
+        }
+    }
+}
+
+#[test]
+fn conformance_message_too_long_for_any_frame_is_dropped_and_reported() {
+    for backend in SOCKET_BACKENDS {
+        let (metrics, obs) = Metrics::shared();
+        let d = deploy_observed(backend, 2, &obs);
+        // A frame is an 8-byte header plus a 4-byte length per message.
+        let largest = MAX_FRAME_LEN - 12;
+        d.send_many(
+            0,
+            1,
+            vec![
+                Bytes::from(vec![1u8; largest + 1]),
+                Bytes::from(vec![2u8; largest]),
+                Bytes::from_static(b"after"),
+            ],
+        );
+        let got = d.recv_messages(1, 2);
+        assert_eq!(got[0].1.len(), largest, "{backend:?}: largest message");
+        assert_eq!(got[1].1, b"after", "{backend:?}: later message");
+        assert_eq!(metrics.snapshot().dropped, 1, "{backend:?}: one drop");
     }
 }
 
