@@ -1,11 +1,8 @@
 //! The thin [`Protocol`] wrapper over the typestate phases (Figure 1).
 //!
-//! The protocol itself lives in [`crate::phase`] as one type per phase
-//! — [`FastVoting`](crate::phase::FastVoting),
-//! [`SlowBallot`](crate::phase::SlowBallot),
-//! [`Decided`](crate::phase::Decided) on the voter side;
-//! [`Collecting`](crate::phase::Collecting) /
-//! [`Proposing`](crate::phase::Proposing) on the leader side — with
+//! The protocol itself lives in the crate-private `phase` module as one
+//! type per phase — `FastVoting`, `SlowBallot`, `Decided` on the voter
+//! side; `Collecting` / `Proposing` on the leader side — with
 //! transitions that consume the source phase and force their sends.
 //! [`TwoStep`] is the enum-dispatch shell that keeps the engines (sim,
 //! fuzz, SMR, model checker) working unchanged at the [`Protocol`]
@@ -21,7 +18,7 @@ use twostep_types::{Ballot, Duration, ProcessId, ProcessSet, SystemConfig, Value
 
 use crate::msg::Msg;
 use crate::omega::{Omega, OmegaMode};
-use crate::phase::{Collecting, Leader, LeaderPhase, Phase, PhaseKind};
+use crate::phase::{Collecting, FastVoting, Leader, LeaderPhase, Phase, PhaseKind, Voter};
 use crate::recovery::Report;
 use crate::Ablations;
 
@@ -133,8 +130,8 @@ impl<V: Value> TwoStep<V> {
     ) -> Self {
         assert!(me.index() < cfg.n(), "process {me} out of range for {cfg}");
         let phase = match variant {
-            Variant::Task => crate::phase::FastVoting::task(),
-            Variant::Object => crate::phase::FastVoting::object(),
+            Variant::Task => FastVoting::task(),
+            Variant::Object => FastVoting::object(),
         };
         TwoStep {
             common: Common {
@@ -150,7 +147,7 @@ impl<V: Value> TwoStep<V> {
                 recovery_case: None,
                 obs,
             },
-            phase: Phase::Fast(phase),
+            phase: Phase::Voting(Voter::Fast(phase)),
             leader: Leader::Idle,
         }
     }
@@ -184,17 +181,17 @@ impl<V: Value> TwoStep<V> {
 
     /// Current ballot.
     pub fn ballot(&self) -> Ballot {
-        self.phase.bal()
+        self.phase.voter().bal()
     }
 
     /// Last ballot voted in.
     pub fn voted_ballot(&self) -> Ballot {
-        self.phase.vbal()
+        self.phase.voter().vbal()
     }
 
     /// Current vote.
     pub fn vote(&self) -> Option<&V> {
-        self.phase.val()
+        self.phase.voter().val()
     }
 
     /// Own proposal, if any.
@@ -244,7 +241,7 @@ impl<V: Value> TwoStep<V> {
 
     /// Lines 2–5: `if val = ⊥ then initial_val ← v; send Propose(v)`.
     fn do_propose(&mut self, v: V, eff: &mut Effects<V, Msg<V>>) {
-        if self.phase.val().is_none() && self.common.initial_val.is_none() {
+        if self.phase.voter().val().is_none() && self.common.initial_val.is_none() {
             self.common.initial_val = Some(v.clone());
             eff.broadcast_others(Msg::Propose(v), self.common.cfg.n(), self.common.me);
         }
@@ -261,7 +258,7 @@ impl<V: Value> TwoStep<V> {
                 if self.common.observed.is_none() {
                     self.common.observed = Some(v.clone());
                 }
-                if let Phase::Fast(f) = &mut self.phase {
+                if let Phase::Voting(Voter::Fast(f)) = &mut self.phase {
                     f.consider(&self.common, from, &v, eff);
                 }
             }
@@ -270,18 +267,19 @@ impl<V: Value> TwoStep<V> {
             Msg::TwoB(b, v) => {
                 if b == Ballot::FAST {
                     // Votes for our own fast-path proposal. The tally
-                    // accrues in every phase; only the fast-voting phase
-                    // can still turn it into a decision.
+                    // accrues in every phase; only an undecided process's
+                    // fast-voting phase can still turn it into a decision.
                     if self.common.initial_val.as_ref() == Some(&v) {
                         self.common.fast_votes.insert(from);
                         self.phase = match Phase::take(&mut self.phase) {
-                            Phase::Fast(f) => f.try_fast_decide(&mut self.common, eff),
-                            Phase::Slow(s) => Phase::Slow(s),
-                            Phase::Decided(d) => Phase::Decided(d),
+                            Phase::Voting(Voter::Fast(f)) => {
+                                f.try_fast_decide(&mut self.common, eff)
+                            }
+                            closed => closed,
                         };
                     }
                 } else if self.phase.decided().is_none()
-                    && self.phase.bal() == b
+                    && self.phase.voter().bal() == b
                     && self.leader.ballot() == Some(b)
                     && self.leader.slow_value() == Some(&v)
                 {
@@ -415,7 +413,7 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
                     // §C.1: Collecting::open is the only way to start a
                     // ballot, and it broadcasts the 1A as it constructs.
                     self.leader = Leader::Collecting(Collecting::open(
-                        self.phase.bal(),
+                        self.phase.voter().bal(),
                         &mut self.common,
                         eff,
                     ));
@@ -437,10 +435,11 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
         self.common.me.hash(&mut h);
-        self.phase.bal().hash(&mut h);
-        self.phase.vbal().hash(&mut h);
-        self.phase.val().hash(&mut h);
-        self.phase.proposer().hash(&mut h);
+        let voter = self.phase.voter();
+        voter.bal().hash(&mut h);
+        voter.vbal().hash(&mut h);
+        voter.val().hash(&mut h);
+        voter.proposer().hash(&mut h);
         self.common.initial_val.hash(&mut h);
         self.phase.decided().hash(&mut h);
         self.common.fast_votes.hash(&mut h);
@@ -485,10 +484,11 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
         }
         let mut h = DefaultHasher::new();
         rl.pid(self.common.me).hash(&mut h);
-        rl.ballot(self.phase.bal())?.hash(&mut h);
-        rl.ballot(self.phase.vbal())?.hash(&mut h);
-        self.phase.val().hash(&mut h);
-        self.phase.proposer().map(|p| rl.pid(p)).hash(&mut h);
+        let voter = self.phase.voter();
+        rl.ballot(voter.bal())?.hash(&mut h);
+        rl.ballot(voter.vbal())?.hash(&mut h);
+        voter.val().hash(&mut h);
+        voter.proposer().map(|p| rl.pid(p)).hash(&mut h);
         self.common.initial_val.hash(&mut h);
         self.phase.decided().hash(&mut h);
         rl.pset(self.common.fast_votes).hash(&mut h);
@@ -537,7 +537,7 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
         if self.common.omega.uses_heartbeats() {
             return false;
         }
-        let bal = self.phase.bal();
+        let bal = self.phase.voter().bal();
         match msg {
             Msg::Heartbeat => true,
             Msg::Propose(v) => {
@@ -547,7 +547,7 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
                 // (immutable once set) proposal rejects `v`.
                 self.common.observed.is_some()
                     && (bal != Ballot::FAST
-                        || self.phase.val().is_some()
+                        || self.phase.voter().val().is_some()
                         || self.common.initial_val.as_ref().is_some_and(|iv| {
                             *v < *iv
                                 || (self.common.variant == Variant::Object
@@ -673,6 +673,14 @@ mod tests {
         // Decide broadcast went out.
         let decides = ex.pending_matching(|m| matches!(m.msg, Msg::Decide(_)));
         assert_eq!(decides.len(), 2);
+        // The other fast 2B arrives late: the decided phase has no
+        // fast-decide transition, so it emits nothing (no second Decide).
+        let late = ex.pending_matching(|m| m.to == p(2) && matches!(m.msg, Msg::TwoB(..)));
+        assert_eq!(late.len(), 1);
+        let before = ex.pending().len();
+        ex.deliver(late[0]);
+        assert_eq!(ex.pending().len(), before - 1);
+        assert_eq!(ex.process(p(2)).decision_path(), Some(DecisionPath::Fast));
     }
 
     #[test]

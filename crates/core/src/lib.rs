@@ -13,8 +13,8 @@
 //!   red-line preconditions.
 //!
 //! Both variants are built through [`TwoStepBuilder`] and share one
-//! state-machine shell ([`TwoStep`]) over the typestate phases of
-//! [`phase`]: each protocol phase is a distinct type whose transitions
+//! state-machine shell ([`TwoStep`]) over crate-private typestate
+//! phases: each protocol phase is a distinct type whose transitions
 //! consume `self` and issue their sends through the `Effects` sink, so
 //! an illegal transition (fast-deciding from a slow ballot, proposing
 //! without a frozen `1B` quorum, …) does not typecheck. The key novelty
@@ -43,6 +43,35 @@
 //! 2. **Decision gossip.** A decided process rebroadcasts `Decide` on
 //!    its periodic timer so a decision reaches processes that missed the
 //!    original broadcast.
+//!
+//! # Phases as types
+//!
+//! Outside this crate a phase is visible only as its observable kind,
+//! [`PhaseKind`] / [`LeaderPhase`]; the phase types themselves cannot
+//! even be named, so no other crate can construct or hold one:
+//!
+//! ```compile_fail
+//! use twostep_core::phase::FastVoting;
+//! use twostep_core::TwoStepBuilder;
+//! use twostep_types::{ProcessId, SystemConfig};
+//!
+//! let cfg = SystemConfig::minimal_task(1, 1).unwrap();
+//! let p0 = TwoStepBuilder::new(cfg).task(ProcessId::new(0), 10u64);
+//! assert_eq!(p0.inner().phase(), FastVoting);
+//! ```
+//!
+//! The same program naming the phase through the public root
+//! re-export compiles, so the line above is the only reason it fails:
+//!
+//! ```
+//! use twostep_core::PhaseKind::FastVoting;
+//! use twostep_core::TwoStepBuilder;
+//! use twostep_types::{ProcessId, SystemConfig};
+//!
+//! let cfg = SystemConfig::minimal_task(1, 1).unwrap();
+//! let p0 = TwoStepBuilder::new(cfg).task(ProcessId::new(0), 10u64);
+//! assert_eq!(p0.inner().phase(), FastVoting);
+//! ```
 //!
 //! # Example
 //!
@@ -80,7 +109,7 @@ mod consensus;
 mod msg;
 mod object;
 mod omega;
-pub mod phase;
+mod phase;
 pub mod recovery;
 mod task;
 

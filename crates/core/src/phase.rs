@@ -6,31 +6,35 @@
 //! the sends the paper attaches to it (the 1B reply of lines 29–31, the
 //! 2B vote of line 69, the 2A broadcast of line 62, the `Decide`
 //! broadcast of line 17). Illegal transitions are not runtime bugs the
-//! lint or model checker must catch; they simply do not exist as
-//! methods.
+//! model checker must catch; they simply do not exist as methods. The
+//! phase types are crate-private and their fields module-private, so the
+//! compiler alone confines their construction to the constructors below.
 //!
-//! The voter-side phases (per-process state of Figure 1):
+//! The voter-side state of Figure 1 is [`Phase`]: either still
+//! [`Phase::Voting`] or [`Phase::Decided`], and both hold the one
+//! [`Voter`] ballot position, because a decided process keeps serving
+//! `1B` reports (carrying `decided`, which recovery's reported-decision
+//! branch resurrects) and `2B` votes:
 //!
 //! * [`FastVoting`] — ballot 0, lines 9–16: the process may vote for a
-//!   `Propose` and may fast-decide its own proposal. The object
-//!   variant's red-line precondition exists only on states born from
-//!   the crate-internal `FastVoting::object` constructor.
+//!   `Propose` and may fast-decide its own proposal. The fast-decide
+//!   transition is reachable only as `Phase::Voting(Voter::Fast(_))`:
+//!   the position inside a [`Decided`] is sealed in this module. The
+//!   object variant's red-line precondition exists only on states born
+//!   from [`FastVoting::object`].
 //! * [`SlowBallot`] — lines 27–31 and 65–69: the process has joined a
 //!   slow ballot; it answers `1A` with its report and votes on `2A`.
-//!   Entered from the crate-internal `FastVoting::join` /
-//!   `FastVoting::adopt` transitions and never left except by
-//!   deciding.
+//!   Entered from the [`FastVoting::join`] / [`FastVoting::adopt`]
+//!   transitions and never left.
 //! * [`Decided`] — lines 16–25: a decision certificate plus the still
-//!   live ballot position, because a decided process keeps serving
-//!   `1B` reports (carrying `decided`, which recovery's
-//!   reported-decision branch resurrects) and `2B` votes.
+//!   live ballot position.
 //!
 //! The leader-side phases (lines 42–63, one ballot at a time):
 //!
 //! * [`LeaderPhase::Idle`] — not coordinating.
-//! * [`Collecting`] — a `1A` broadcast is out (the crate-internal
-//!   `Collecting::open` is the only way in, and it broadcasts as it
-//!   constructs) and `1B` reports are accumulating.
+//! * [`Collecting`] — a `1A` broadcast is out ([`Collecting::open`] is
+//!   the only way in, and it broadcasts as it constructs) and `1B`
+//!   reports are accumulating.
 //! * [`Proposing`] — the `1B` quorum is frozen and the recovery rule
 //!   has chosen the ballot's value (`Collecting::propose`, which
 //!   consumes the collector and forces the `2A` broadcast).
@@ -49,7 +53,7 @@ use twostep_types::{Ballot, ProcessId, ProcessSet, Value};
 
 use crate::consensus::{Common, DecisionPath};
 use crate::msg::Msg;
-use crate::recovery::{classify, Recovery, Report};
+use crate::recovery::{select_value_explained, Report};
 
 /// Which voter-side phase a process is in (observable shadow of the
 /// phase types, for tests and telemetry).
@@ -81,7 +85,7 @@ pub enum LeaderPhase {
 
 /// The fast-voting phase: `bal = 0`, lines 9–16 of Figure 1.
 #[derive(Debug, Clone)]
-pub struct FastVoting<V> {
+pub(crate) struct FastVoting<V> {
     /// Current vote (`val`), `⊥` if none.
     val: Option<V>,
     /// Proposer of `val`.
@@ -94,7 +98,7 @@ pub struct FastVoting<V> {
 
 impl<V: Value> FastVoting<V> {
     /// Birth state of the consensus *task* (Figure 1 without the red
-    /// lines).
+    /// lines); also the never-observable placeholder of [`Phase::take`].
     pub(crate) fn task() -> Self {
         FastVoting {
             val: None,
@@ -112,31 +116,6 @@ impl<V: Value> FastVoting<V> {
             proposer: None,
             red_line: true,
         }
-    }
-
-    /// Placeholder used while a transition is in flight; never
-    /// observable.
-    pub(crate) fn vacant() -> Self {
-        FastVoting {
-            val: None,
-            proposer: None,
-            red_line: false,
-        }
-    }
-
-    /// Current vote.
-    pub fn val(&self) -> Option<&V> {
-        self.val.as_ref()
-    }
-
-    /// Proposer of the current vote.
-    pub fn proposer(&self) -> Option<ProcessId> {
-        self.proposer
-    }
-
-    /// Whether the red-line precondition is armed (object variant).
-    pub fn red_line(&self) -> bool {
-        self.red_line
     }
 
     /// Lines 9–13: vote for a `Propose(v)` from `from` if the
@@ -170,12 +149,12 @@ impl<V: Value> FastVoting<V> {
         eff: &mut Effects<V, Msg<V>>,
     ) -> Phase<V> {
         let Some(v) = common.initial_val.clone() else {
-            return Phase::Fast(self);
+            return Phase::Voting(Voter::Fast(self));
         };
         // `val ∈ {⊥, v}`: a vote for someone else's value blocks us.
         if let Some(cur) = &self.val {
             if *cur != v {
-                return Phase::Fast(self);
+                return Phase::Voting(Voter::Fast(self));
             }
         }
         let mut supporters = common.fast_votes;
@@ -193,20 +172,19 @@ impl<V: Value> FastVoting<V> {
             eff.broadcast_others(Msg::Decide(v), n, me);
             Phase::Decided(decided)
         } else {
-            Phase::Fast(self)
+            Phase::Voting(Voter::Fast(self))
         }
     }
 
     /// Lines 27–31: join slow ballot `b > 0`, leaving the fast phase
     /// forever. The transition replies the `1B` report to `from`
-    /// (`decided` is the certificate of an already-decided voter, `⊥`
-    /// here on the undecided path).
-    pub(crate) fn join(
+    /// (`decided` is the certificate of an already-decided voter).
+    fn join(
         self,
         common: &mut Common<V>,
         from: ProcessId,
         b: Ballot,
-        decided: Option<V>,
+        decided: Option<&V>,
         eff: &mut Effects<V, Msg<V>>,
     ) -> SlowBallot<V> {
         common.obs.ballot_advanced(common.me);
@@ -217,7 +195,7 @@ impl<V: Value> FastVoting<V> {
                 vbal: Ballot::FAST,
                 val: self.val.clone(),
                 proposer: self.proposer,
-                decided,
+                decided: decided.cloned(),
             },
         );
         SlowBallot {
@@ -230,7 +208,7 @@ impl<V: Value> FastVoting<V> {
 
     /// Lines 65–69 with `b > 0`: adopt a `2A` value, voting `2B` and
     /// leaving the fast phase.
-    pub(crate) fn adopt(
+    fn adopt(
         self,
         common: &mut Common<V>,
         from: ProcessId,
@@ -251,7 +229,7 @@ impl<V: Value> FastVoting<V> {
     /// Lines 65–69 with `b = 0` (a fast `2A`, unreachable from correct
     /// peers but handled for uniformity): revote without leaving the
     /// phase.
-    pub(crate) fn revote(&mut self, from: ProcessId, v: V, eff: &mut Effects<V, Msg<V>>) {
+    fn revote(&mut self, from: ProcessId, v: V, eff: &mut Effects<V, Msg<V>>) {
         self.val = Some(v.clone());
         eff.send(from, Msg::TwoB(Ballot::FAST, v));
     }
@@ -259,7 +237,7 @@ impl<V: Value> FastVoting<V> {
 
 /// The slow-ballot phase: `bal > 0`, lines 27–31 and 65–69.
 #[derive(Debug, Clone)]
-pub struct SlowBallot<V> {
+pub(crate) struct SlowBallot<V> {
     /// Current ballot (`bal`).
     bal: Ballot,
     /// Last ballot voted in (`vbal`).
@@ -271,34 +249,14 @@ pub struct SlowBallot<V> {
 }
 
 impl<V: Value> SlowBallot<V> {
-    /// Current ballot.
-    pub fn bal(&self) -> Ballot {
-        self.bal
-    }
-
-    /// Last voted ballot.
-    pub fn vbal(&self) -> Ballot {
-        self.vbal
-    }
-
-    /// Current vote.
-    pub fn val(&self) -> Option<&V> {
-        self.val.as_ref()
-    }
-
-    /// Proposer of the current vote.
-    pub fn proposer(&self) -> Option<ProcessId> {
-        self.proposer
-    }
-
     /// Lines 27–31: advance to a higher ballot `b`, replying the `1B`
     /// report. A stale `b ≤ bal` leaves the phase untouched.
-    pub(crate) fn on_one_a(
+    fn on_one_a(
         mut self,
         common: &mut Common<V>,
         from: ProcessId,
         b: Ballot,
-        decided: Option<V>,
+        decided: Option<&V>,
         eff: &mut Effects<V, Msg<V>>,
     ) -> Self {
         if b > self.bal {
@@ -311,7 +269,7 @@ impl<V: Value> SlowBallot<V> {
                     vbal: self.vbal,
                     val: self.val.clone(),
                     proposer: self.proposer,
-                    decided,
+                    decided: decided.cloned(),
                 },
             );
         }
@@ -319,7 +277,7 @@ impl<V: Value> SlowBallot<V> {
     }
 
     /// Lines 65–69: vote for a `2A` value at `b ≥ bal`.
-    pub(crate) fn on_two_a(
+    fn on_two_a(
         mut self,
         common: &mut Common<V>,
         from: ProcessId,
@@ -340,9 +298,8 @@ impl<V: Value> SlowBallot<V> {
     }
 }
 
-/// The undecided ballot position: fast or slow. Also lives on inside
-/// [`Decided`], because a decided process keeps serving reports and
-/// votes.
+/// The ballot position of one process, fast or slow: the state every
+/// voter-side phase holds, decided or not.
 #[derive(Debug, Clone)]
 pub(crate) enum Voter<V> {
     /// Still at ballot 0.
@@ -381,20 +338,21 @@ impl<V: Value> Voter<V> {
     }
 
     /// Overwrites the vote (line 23: a decision rewrites `val`).
-    pub(crate) fn set_val(&mut self, v: V) {
+    fn set_val(&mut self, v: V) {
         match self {
             Voter::Fast(f) => f.val = Some(v),
             Voter::Slow(s) => s.val = Some(v),
         }
     }
 
-    /// `1A` dispatch shared by the decided and undecided positions.
-    pub(crate) fn on_one_a(
+    /// Lines 27–31: `decided` is the certificate the `1B` report
+    /// carries, `⊥` on the undecided path.
+    fn on_one_a(
         self,
         common: &mut Common<V>,
         from: ProcessId,
         b: Ballot,
-        decided: Option<V>,
+        decided: Option<&V>,
         eff: &mut Effects<V, Msg<V>>,
     ) -> Voter<V> {
         match self {
@@ -406,8 +364,9 @@ impl<V: Value> Voter<V> {
         }
     }
 
-    /// `2A` dispatch shared by the decided and undecided positions.
-    pub(crate) fn on_two_a(
+    /// Lines 65–69: a decided process still votes (the ballot may
+    /// outrun the certificate's propagation).
+    fn on_two_a(
         self,
         common: &mut Common<V>,
         from: ProcessId,
@@ -429,7 +388,7 @@ impl<V: Value> Voter<V> {
 /// The decided phase: a decision certificate (lines 16–25) plus the
 /// still-live ballot position.
 #[derive(Debug, Clone)]
-pub struct Decided<V> {
+pub(crate) struct Decided<V> {
     /// The ballot position keeps answering `1A`/`2A` so recovery can
     /// learn the decision from this process's reports.
     voter: Voter<V>,
@@ -441,9 +400,9 @@ pub struct Decided<V> {
 
 impl<V: Value> Decided<V> {
     /// Lines 17/21/24: records a decision, emitting the decision effect
-    /// — the only constructor, so a `Decided` state cannot exist
+    /// — the only way into this phase, so a `Decided` state cannot exist
     /// without its decision having been surfaced to the engine.
-    pub(crate) fn record(
+    fn record(
         mut voter: Voter<V>,
         v: V,
         path: DecisionPath,
@@ -462,52 +421,9 @@ impl<V: Value> Decided<V> {
         }
     }
 
-    /// The decided value.
-    pub fn value(&self) -> &V {
-        &self.value
-    }
-
     /// How the decision was reached.
-    pub fn path(&self) -> DecisionPath {
+    pub(crate) fn path(&self) -> DecisionPath {
         self.path
-    }
-
-    /// Lines 22–25 after deciding: a redundant `Decide` rewrites `val`;
-    /// a *conflicting* one is surfaced as a second decision effect so
-    /// the trace checkers can flag the agreement violation (reachable
-    /// only under ablations or below-bound configurations).
-    pub(crate) fn on_decide(&mut self, v: V, eff: &mut Effects<V, Msg<V>>) {
-        self.voter.set_val(v.clone());
-        if self.value != v {
-            eff.decide(v);
-        }
-    }
-
-    /// `1A` while decided: the report carries the certificate.
-    pub(crate) fn on_one_a(
-        mut self,
-        common: &mut Common<V>,
-        from: ProcessId,
-        b: Ballot,
-        eff: &mut Effects<V, Msg<V>>,
-    ) -> Self {
-        let decided = Some(self.value.clone());
-        self.voter = self.voter.on_one_a(common, from, b, decided, eff);
-        self
-    }
-
-    /// `2A` while decided: still votes (the ballot may outrun the
-    /// certificate's propagation).
-    pub(crate) fn on_two_a(
-        mut self,
-        common: &mut Common<V>,
-        from: ProcessId,
-        b: Ballot,
-        v: V,
-        eff: &mut Effects<V, Msg<V>>,
-    ) -> Self {
-        self.voter = self.voter.on_two_a(common, from, b, v, eff);
-        self
     }
 }
 
@@ -516,73 +432,50 @@ impl<V: Value> Decided<V> {
 /// over.
 #[derive(Debug, Clone)]
 pub(crate) enum Phase<V> {
-    /// Ballot 0 (lines 9–16).
-    Fast(FastVoting<V>),
-    /// A slow ballot (lines 27–31, 65–69).
-    Slow(SlowBallot<V>),
+    /// Undecided (lines 9–16, 27–31, 65–69).
+    Voting(Voter<V>),
     /// Decided (lines 16–25).
     Decided(Decided<V>),
 }
 
 impl<V: Value> Phase<V> {
     /// Takes the phase out of `slot` for a consuming transition,
-    /// leaving a vacant placeholder that is immediately overwritten.
+    /// leaving a placeholder that is immediately overwritten.
     pub(crate) fn take(slot: &mut Phase<V>) -> Phase<V> {
-        std::mem::replace(slot, Phase::Fast(FastVoting::vacant()))
+        std::mem::replace(slot, Phase::Voting(Voter::Fast(FastVoting::task())))
     }
 
     /// The observable phase kind.
     pub(crate) fn kind(&self) -> PhaseKind {
         match self {
-            Phase::Fast(_) => PhaseKind::FastVoting,
-            Phase::Slow(_) => PhaseKind::SlowBallot,
+            Phase::Voting(Voter::Fast(_)) => PhaseKind::FastVoting,
+            Phase::Voting(Voter::Slow(_)) => PhaseKind::SlowBallot,
             Phase::Decided(_) => PhaseKind::Decided,
         }
     }
 
-    pub(crate) fn bal(&self) -> Ballot {
+    /// The ballot position (`bal`, `vbal`, `val`, `proposer`), decided
+    /// or not.
+    pub(crate) fn voter(&self) -> &Voter<V> {
         match self {
-            Phase::Fast(_) => Ballot::FAST,
-            Phase::Slow(s) => s.bal,
-            Phase::Decided(d) => d.voter.bal(),
-        }
-    }
-
-    pub(crate) fn vbal(&self) -> Ballot {
-        match self {
-            Phase::Fast(_) => Ballot::FAST,
-            Phase::Slow(s) => s.vbal,
-            Phase::Decided(d) => d.voter.vbal(),
-        }
-    }
-
-    pub(crate) fn val(&self) -> Option<&V> {
-        match self {
-            Phase::Fast(f) => f.val.as_ref(),
-            Phase::Slow(s) => s.val.as_ref(),
-            Phase::Decided(d) => d.voter.val(),
-        }
-    }
-
-    pub(crate) fn proposer(&self) -> Option<ProcessId> {
-        match self {
-            Phase::Fast(f) => f.proposer,
-            Phase::Slow(s) => s.proposer,
-            Phase::Decided(d) => d.voter.proposer(),
+            Phase::Voting(voter) => voter,
+            Phase::Decided(d) => &d.voter,
         }
     }
 
     pub(crate) fn decided(&self) -> Option<&V> {
         match self {
             Phase::Decided(d) => Some(&d.value),
-            Phase::Fast(_) | Phase::Slow(_) => None,
+            Phase::Voting(_) => None,
         }
     }
 
     /// Lines 17/21/24: moves the phase to [`Decided`], recording the
     /// decision through [`Decided::record`]. Re-deciding rewrites `val`
-    /// (line 23); a *conflicting* re-decision surfaces a second
-    /// decision effect for the trace checkers.
+    /// (line 23); a *conflicting* re-decision is surfaced as a second
+    /// decision effect so the trace checkers can flag the agreement
+    /// violation (reachable only under ablations or below-bound
+    /// configurations).
     pub(crate) fn into_decided(
         self,
         v: V,
@@ -591,16 +484,19 @@ impl<V: Value> Phase<V> {
         eff: &mut Effects<V, Msg<V>>,
     ) -> Phase<V> {
         match self {
-            Phase::Fast(f) => Phase::Decided(Decided::record(Voter::Fast(f), v, path, common, eff)),
-            Phase::Slow(s) => Phase::Decided(Decided::record(Voter::Slow(s), v, path, common, eff)),
+            Phase::Voting(voter) => Phase::Decided(Decided::record(voter, v, path, common, eff)),
             Phase::Decided(mut d) => {
-                d.on_decide(v, eff);
+                d.voter.set_val(v.clone());
+                if d.value != v {
+                    eff.decide(v);
+                }
                 Phase::Decided(d)
             }
         }
     }
 
-    /// Lines 27–31 dispatch.
+    /// Lines 27–31 dispatch: a decided process's report carries its
+    /// certificate.
     pub(crate) fn on_one_a(
         self,
         common: &mut Common<V>,
@@ -608,12 +504,7 @@ impl<V: Value> Phase<V> {
         b: Ballot,
         eff: &mut Effects<V, Msg<V>>,
     ) -> Phase<V> {
-        match self {
-            Phase::Fast(f) if b > Ballot::FAST => Phase::Slow(f.join(common, from, b, None, eff)),
-            Phase::Fast(f) => Phase::Fast(f),
-            Phase::Slow(s) => Phase::Slow(s.on_one_a(common, from, b, None, eff)),
-            Phase::Decided(d) => Phase::Decided(d.on_one_a(common, from, b, eff)),
-        }
+        self.map_voter(|voter, decided| voter.on_one_a(common, from, b, decided, eff))
     }
 
     /// Lines 65–69 dispatch.
@@ -625,14 +516,19 @@ impl<V: Value> Phase<V> {
         v: V,
         eff: &mut Effects<V, Msg<V>>,
     ) -> Phase<V> {
+        self.map_voter(|voter, _| voter.on_two_a(common, from, b, v, eff))
+    }
+
+    /// Runs a ballot-position transition `f` in either phase, passing
+    /// the decision certificate if there is one.
+    fn map_voter(self, f: impl FnOnce(Voter<V>, Option<&V>) -> Voter<V>) -> Phase<V> {
         match self {
-            Phase::Fast(mut f) if b == Ballot::FAST => {
-                f.revote(from, v, eff);
-                Phase::Fast(f)
-            }
-            Phase::Fast(f) => Phase::Slow(f.adopt(common, from, b, v, eff)),
-            Phase::Slow(s) => Phase::Slow(s.on_two_a(common, from, b, v, eff)),
-            Phase::Decided(d) => Phase::Decided(d.on_two_a(common, from, b, v, eff)),
+            Phase::Voting(voter) => Phase::Voting(f(voter, None)),
+            Phase::Decided(Decided { voter, value, path }) => Phase::Decided(Decided {
+                voter: f(voter, Some(&value)),
+                value,
+                path,
+            }),
         }
     }
 }
@@ -705,7 +601,7 @@ impl<V: Value> Leader<V> {
 
 /// Phase one of a slow ballot, collection side (lines 42–45).
 #[derive(Debug, Clone)]
-pub struct Collecting<V> {
+pub(crate) struct Collecting<V> {
     /// The ballot being coordinated.
     bal: Ballot,
     /// `1B` reports received so far.
@@ -750,33 +646,17 @@ impl<V: Value> Collecting<V> {
 
     /// Lines 46–63: consumes the collector, runs the recovery rule over
     /// the frozen quorum, and — if a value was selected — forces the
-    /// `2A` broadcast. The `> n-f-e` and `= n-f-e` cases arrive as the
-    /// distinct types [`crate::recovery::RecoveryGt`] /
-    /// [`crate::recovery::RecoveryEq`]: only the latter offers the
-    /// max-value tie-break.
+    /// `2A` broadcast. [`select_value_explained`] is the one place the
+    /// rule's case types ([`crate::recovery::RecoveryGt`] /
+    /// [`crate::recovery::RecoveryEq`]) become a value.
     fn propose(self, common: &mut Common<V>, eff: &mut Effects<V, Msg<V>>) -> Proposing<V> {
-        let (selected, case) = match classify(&common.cfg, &self.onebs, common.ablations) {
-            Recovery::ReportedDecision(v) => {
-                (Some(v), twostep_telemetry::RecoveryCase::ReportedDecision)
-            }
-            Recovery::SlowBallot(v) => (v, twostep_telemetry::RecoveryCase::SlowBallot),
-            Recovery::Gt(gt) => (Some(gt.into_value()), twostep_telemetry::RecoveryCase::Gt),
-            Recovery::Eq(eq) => {
-                let v = if common.ablations.no_max_tiebreak {
-                    eq.least_ablated()
-                } else {
-                    eq.greatest()
-                };
-                (Some(v), twostep_telemetry::RecoveryCase::Eq)
-            }
-            Recovery::Fallback => (
-                common
-                    .initial_val
-                    .clone()
-                    .or_else(|| common.observed.clone()),
-                twostep_telemetry::RecoveryCase::Fallback,
-            ),
-        };
+        let (selected, case) = select_value_explained(
+            &common.cfg,
+            &self.onebs,
+            common.initial_val.as_ref(),
+            common.observed.as_ref(),
+            common.ablations,
+        );
         common.recovery_case = Some(case);
         common.obs.recovery_case(common.me, case);
         if let Some(v) = &selected {
@@ -794,7 +674,7 @@ impl<V: Value> Collecting<V> {
 /// Phase two of a slow ballot, leader side (lines 16 second disjunct,
 /// 18–21): the value is fixed and `2B` votes are being counted.
 #[derive(Debug, Clone)]
-pub struct Proposing<V> {
+pub(crate) struct Proposing<V> {
     /// The ballot being coordinated.
     bal: Ballot,
     /// The frozen `1B` quorum phase one selected from.

@@ -22,18 +22,22 @@
 //!    the crate docs — by any proposal the leader has merely observed,
 //!    which is equally safe in this branch).
 //!
-//! The rule is exposed in two forms:
+//! The rule is exposed in two layers:
 //!
-//! * [`classify`] — the typed API used by the protocol core: it returns
-//!   a [`Recovery`] verdict whose `> n-f-e` and `= n-f-e` cases are the
-//!   *distinct types* [`RecoveryGt`] and [`RecoveryEq`], so the
-//!   max-value tie-break of line 58 only exists where the paper applies
-//!   it (the exact-threshold case — [`RecoveryEq::greatest`]); the
-//!   above-threshold case, unique by Lemma 7, offers no choice at all.
-//! * [`select_value`] / [`select_value_explained`] — pure-function
-//!   wrappers over [`classify`] kept for property tests (see the
-//!   Lemma 7 generators in this module's tests), the lower-bound
-//!   witness replays in `crates/analysis`, and micro-benchmarks.
+//! * [`classify`] — the typed verdict: a [`Recovery`] whose `> n-f-e`
+//!   and `= n-f-e` cases are the *distinct types* [`RecoveryGt`] and
+//!   [`RecoveryEq`], so the max-value tie-break of line 58 only exists
+//!   where the paper applies it (the exact-threshold case —
+//!   [`RecoveryEq::greatest`]); the above-threshold case, unique by
+//!   Lemma 7, offers no choice at all.
+//! * [`select_value_explained`] — the protocol's own path: a new
+//!   leader's phase one runs it to turn the verdict into the ballot's
+//!   value and its telemetry case. It is the one place the case types
+//!   become a value (including the ablated tie-break and the fallback
+//!   to the leader's own or an observed proposal); [`select_value`]
+//!   drops the case for property tests (the Lemma 7 generators in this
+//!   module's tests), the lower-bound witness replays in
+//!   `crates/analysis`, and micro-benchmarks.
 
 use twostep_telemetry::RecoveryCase;
 use twostep_types::quorum::{Collector, VoteTally};
@@ -82,18 +86,51 @@ impl<V> Report<V> {
 /// carries exactly one value and offers no tie-break: the max-value
 /// choice of line 58 does not exist here, by construction.
 ///
-/// Only [`classify`] (inside `crates/core`) creates instances.
+/// Only [`classify`] creates instances: the field is private, so a
+/// verdict forged outside this crate does not compile —
+///
+/// ```compile_fail
+/// use twostep_core::recovery::{classify, Recovery, RecoveryGt, Report};
+/// use twostep_core::Ablations;
+/// use twostep_types::quorum::Collector;
+/// use twostep_types::{ProcessId, SystemConfig};
+///
+/// let cfg = SystemConfig::minimal_task(2, 2).unwrap(); // n-f-e = 2
+/// let mut reports = Collector::new();
+/// for q in 0..3 {
+///     reports.insert(ProcessId::new(q), Report::fast_vote(7u64, ProcessId::new(5)));
+/// }
+/// reports.insert(ProcessId::new(3), Report::empty());
+/// let verdict = classify(&cfg, &reports, Ablations::NONE);
+/// let gt: RecoveryGt<u64> = RecoveryGt { value: 7u64 };
+/// assert_eq!(gt.into_value(), 7);
+/// ```
+///
+/// — while the same program taking the verdict from [`classify`]
+/// compiles:
+///
+/// ```
+/// use twostep_core::recovery::{classify, Recovery, RecoveryGt, Report};
+/// use twostep_core::Ablations;
+/// use twostep_types::quorum::Collector;
+/// use twostep_types::{ProcessId, SystemConfig};
+///
+/// let cfg = SystemConfig::minimal_task(2, 2).unwrap(); // n-f-e = 2
+/// let mut reports = Collector::new();
+/// for q in 0..3 {
+///     reports.insert(ProcessId::new(q), Report::fast_vote(7u64, ProcessId::new(5)));
+/// }
+/// reports.insert(ProcessId::new(3), Report::empty());
+/// let verdict = classify(&cfg, &reports, Ablations::NONE);
+/// let Recovery::Gt(gt) = verdict else { panic!("{verdict:?}") };
+/// assert_eq!(gt.into_value(), 7);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryGt<V> {
     value: V,
 }
 
 impl<V: Value> RecoveryGt<V> {
-    /// The unique value with more than `n-f-e` surviving votes.
-    pub fn value(&self) -> &V {
-        &self.value
-    }
-
     /// Consumes the verdict, yielding the mandated value.
     pub fn into_value(self) -> V {
         self.value
@@ -106,7 +143,7 @@ impl<V: Value> RecoveryGt<V> {
 /// paper's line 58 breaks the tie by taking the **greatest**. That
 /// tie-break exists only on this type — resolving it is the one
 /// decision the recovery rule leaves open, and [`RecoveryEq::greatest`]
-/// is the only safe resolution (E2's ablation study decides via
+/// is the only safe resolution (E9's ablation study decides via
 /// [`RecoveryEq::least_ablated`] instead and demonstrably loses
 /// agreement).
 ///
@@ -125,7 +162,7 @@ impl<V: Value> RecoveryEq<V> {
     }
 
     /// The least tied value: the deliberately wrong tie-break used by
-    /// the `no_max_tiebreak` ablation (experiment E2).
+    /// the `no_max_tiebreak` ablation (experiment E9).
     pub fn least_ablated(self) -> V {
         self.least
     }
