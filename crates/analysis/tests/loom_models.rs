@@ -1,4 +1,4 @@
-//! Exhaustive-interleaving models of the workspace's two lock-free-ish
+//! Exhaustive-interleaving models of the workspace's concurrency
 //! hot spots, checked with the vendored `loom` scheduler
 //! (`cargo test -p twostep-analysis --features loom`).
 //!
@@ -338,4 +338,116 @@ fn reactor_doorbell_never_loses_a_wakeup() {
             assert!(drained >= 1, "skipped the park without seeing a command");
         }
     });
+}
+
+/// Model of the vendored channel's blocking `select!` handoff
+/// (`vendor/crossbeam/src/lib.rs`), which every node thread parks in.
+///
+/// Real shape: `select2` makes a pass over both receivers in which
+/// `take_or_register` pops a message, or reports the last sender gone,
+/// or else registers the selecting thread in the channel's `waiting`
+/// list, all in one critical section of that channel's mutex; if the
+/// pass finds nothing, the thread parks. `Sender::send` pushes, then
+/// drains `waiting` and unparks each thread in one critical section;
+/// the last `Sender`'s drop decrements the count, then drains and
+/// unparks under the same lock. The claimed invariant: *a send or
+/// disconnect after the selector's re-check finds it registered, so a
+/// parked selector is always unparked.*
+///
+/// Parking is not simulated (vendored loom has no park/unpark); the
+/// park token is an atomic flag that `unpark` raises. Each wake path
+/// runs in its own model, so one path's unpark cannot mask a lost
+/// wakeup on the other: a message sent on the first receiver while the
+/// second stays connected, and the second receiver's last sender
+/// dropped while the first stays empty. Over every interleaving:
+///
+/// * if the selector commits to parking, the token is raised once the
+///   waker is done — the park returns at once or on the unpark;
+/// * if it skips the park, it took exactly the event that happened.
+///
+/// Splitting `take_or_register`'s check and registration into two
+/// critical sections makes loom find the lost wakeup: check, then the
+/// push and a drain of the still-empty list, then the registration
+/// and a park that nothing will end before the deadline.
+#[test]
+fn select_never_loses_a_wakeup() {
+    /// One channel: `(queue, selector registered)` under the channel's
+    /// mutex, and the live-sender count.
+    struct Channel {
+        state: Mutex<(Vec<u32>, bool)>,
+        senders: AtomicUsize,
+    }
+
+    /// What the selector's pass found: `(receiver, Some(message))`, or
+    /// `(receiver, None)` for a disconnect.
+    type Taken = Option<(usize, Option<u32>)>;
+
+    for wake_by_send in [true, false] {
+        loom::model(move || {
+            let chans = Arc::new([0, 1].map(|_| Channel {
+                state: Mutex::new((Vec::new(), false)),
+                senders: AtomicUsize::new(1),
+            }));
+            // The selecting thread's park token.
+            let token = Arc::new(AtomicBool::new(false));
+
+            // `select2`'s registering pass: `take_or_register` on each
+            // receiver in turn; `None` means the thread parks.
+            let selector = {
+                let chans = Arc::clone(&chans);
+                thread::spawn(move || -> Taken {
+                    for (i, ch) in chans.iter().enumerate() {
+                        let mut st = ch.state.lock().unwrap();
+                        if let Some(v) = st.0.pop() {
+                            return Some((i, Some(v)));
+                        }
+                        if ch.senders.load(Ordering::SeqCst) == 0 {
+                            return Some((i, None));
+                        }
+                        st.1 = true;
+                    }
+                    None
+                })
+            };
+
+            // `Sender::send` on the first receiver, or the drop of the
+            // second receiver's last `Sender`; both end in `wake_all`.
+            let waker = {
+                let (chans, token) = (Arc::clone(&chans), Arc::clone(&token));
+                thread::spawn(move || {
+                    let ch = &chans[if wake_by_send { 0 } else { 1 }];
+                    if wake_by_send {
+                        let mut st = ch.state.lock().unwrap();
+                        st.0.push(7);
+                        if std::mem::take(&mut st.1) {
+                            token.store(true, Ordering::SeqCst);
+                        }
+                    } else if ch.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        let mut st = ch.state.lock().unwrap();
+                        if std::mem::take(&mut st.1) {
+                            token.store(true, Ordering::SeqCst);
+                        }
+                    }
+                })
+            };
+
+            let taken = selector.join().unwrap();
+            waker.join().unwrap();
+            match taken {
+                None => assert!(
+                    token.load(Ordering::SeqCst),
+                    "parked, and the {} never unparked it",
+                    if wake_by_send { "send" } else { "disconnect" }
+                ),
+                Some(event) => {
+                    let expected = if wake_by_send {
+                        (0, Some(7))
+                    } else {
+                        (1, None)
+                    };
+                    assert_eq!(event, expected, "took an event that never happened");
+                }
+            }
+        });
+    }
 }

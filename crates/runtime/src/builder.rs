@@ -8,7 +8,7 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ClusterShared};
 use crate::node::{spawn_node, NodeOptions};
 use crate::proxy::RouteFn;
 use crate::shard::ShardRouter;
@@ -286,7 +286,7 @@ impl ClusterBuilder {
         let observers: Vec<ObserverHandle> = (0..router.shards())
             .map(|s| self.shard_obs.get(s).unwrap_or(&self.obs).clone())
             .collect();
-        let (dtx, drx) = crossbeam::channel::unbounded();
+        let shared = ClusterShared::new(router.shards(), self.cfg.n());
         let nodes = inboxes
             .into_iter()
             .zip(transports)
@@ -298,13 +298,15 @@ impl ClusterBuilder {
                     .collect();
                 let opts = NodeOptions {
                     wall_delta: self.wall_delta,
-                    decisions: dtx.clone(),
+                    shared: Arc::clone(&shared),
                     observers: observers.clone(),
                 };
                 spawn_node(instances, inbox, transport, opts)
             })
             .collect();
-        Ok(Cluster::new(self.cfg, router, nodes, drx, route, self.obs))
+        Ok(Cluster::new(
+            self.cfg, router, nodes, shared, route, self.obs,
+        ))
     }
 }
 

@@ -27,15 +27,16 @@ struct Waiter {
     tx: Sender<Instant>,
 }
 
-/// One decide event as routed through the cluster:
+/// One decide event as a tap receives it:
 /// `(deciding process, shard, value, wall-clock instant)`.
 pub(crate) type DecideEvent<V> = (ProcessId, u32, V, Instant);
 
 /// First decision per shard per process, indexed `[shard][process]`.
 type FirstDecisions<V> = Vec<Vec<Option<(V, Instant)>>>;
 
-/// Decision state shared between the cluster handle, its router thread
-/// and any [`ProxyClient`]s. Every index is `(shard, process)`.
+/// Decision state shared between the cluster handle, its nodes (which
+/// route their decisions into it) and any [`ProxyClient`]s. Every index
+/// is `(shard, process)`.
 pub(crate) struct ClusterShared<V> {
     /// First decision per shard per process (the per-shard
     /// agreement-checking cache).
@@ -64,50 +65,39 @@ impl<V: Value> ClusterShared<V> {
         })
     }
 
-    /// Spawns the router thread draining `rx` into this shared state.
-    pub(crate) fn spawn_router(self: &Arc<Self>, rx: Receiver<DecideEvent<V>>) {
-        let router = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("twostep-cluster-router".into())
-            .spawn(move || router.route(rx))
-            .expect("spawn router thread");
-    }
-
-    /// Routes decide events until every node's sender is gone: caches
-    /// each `(shard, process)`'s first decision, wakes the matching
-    /// `(shard, value)` waiters, then fans the event out to all live
-    /// taps (dead taps are pruned as they are discovered).
-    fn route(self: Arc<Self>, rx: Receiver<DecideEvent<V>>) {
-        while let Ok((p, shard, v, at)) = rx.recv() {
-            {
-                let mut observed = self.observed.lock();
-                if let Some(row) = observed.get_mut(shard as usize) {
-                    let slot = &mut row[p.index()];
-                    if slot.is_none() {
-                        *slot = Some((v.clone(), at));
-                    }
+    /// Routes one decide event, called by the deciding node's thread:
+    /// caches each `(shard, process)`'s first decision, wakes the
+    /// matching `(shard, value)` waiters, then fans the event out to all
+    /// live taps (dead taps are pruned as they are discovered).
+    pub(crate) fn route_decision(&self, p: ProcessId, shard: u32, v: V, at: Instant) {
+        {
+            let mut observed = self.observed.lock();
+            if let Some(row) = observed.get_mut(shard as usize) {
+                let slot = &mut row[p.index()];
+                if slot.is_none() {
+                    *slot = Some((v.clone(), at));
                 }
             }
-            {
-                let mut waiters = self.waiters.lock();
-                let key = (shard, v.clone());
-                if let Some(list) = waiters.get_mut(&key) {
-                    list.retain(|w| {
-                        if w.proxy == p {
-                            let _ = w.tx.send(at);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    if list.is_empty() {
-                        waiters.remove(&key);
-                    }
-                }
-            }
-            let mut taps = self.taps.lock();
-            taps.retain(|tap| tap.send((p, shard, v.clone(), at)).is_ok());
         }
+        {
+            let mut waiters = self.waiters.lock();
+            let key = (shard, v.clone());
+            if let Some(list) = waiters.get_mut(&key) {
+                list.retain(|w| {
+                    if w.proxy == p {
+                        let _ = w.tx.send(at);
+                        false
+                    } else {
+                        true
+                    }
+                });
+                if list.is_empty() {
+                    waiters.remove(&key);
+                }
+            }
+        }
+        let mut taps = self.taps.lock();
+        taps.retain(|tap| tap.send((p, shard, v.clone(), at)).is_ok());
     }
 
     /// Registers interest in `value` committing in `shard` at `proxy`;
@@ -213,18 +203,16 @@ pub struct Cluster<V: Value> {
 pub type ShardedCluster<V> = Cluster<V>;
 
 impl<V: Value> Cluster<V> {
-    /// Wires the shared decision state and its router thread around
-    /// freshly spawned nodes, whose decide events arrive on `decisions`.
+    /// Wraps freshly spawned nodes that route their decisions into
+    /// `shared`.
     pub(crate) fn new(
         cfg: SystemConfig,
         router: ShardRouter,
         nodes: Vec<NodeHandle<V>>,
-        decisions: Receiver<DecideEvent<V>>,
+        shared: Arc<ClusterShared<V>>,
         route: RouteFn<V>,
         obs: ObserverHandle,
     ) -> Self {
-        let shared = ClusterShared::new(router.shards(), cfg.n());
-        shared.spawn_router(decisions);
         Cluster {
             cfg,
             router,
@@ -461,29 +449,27 @@ mod tests {
             ) {
                 prop_assume!(deciding != bystander);
                 let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3);
-                let (dtx, drx) = crossbeam::channel::unbounded();
-                shared.spawn_router(drx);
                 let at = p(proxy);
                 let (_tok_b, rx_bystander) = shared.register_waiter(bystander, value, at);
                 let (_tok_d, rx_deciding) = shared.register_waiter(deciding, value, at);
-                dtx.send((at, deciding, value, Instant::now())).unwrap();
+                shared.route_decision(at, deciding, value, Instant::now());
                 // The matching waiter wakes...
                 prop_assert!(
-                    rx_deciding.recv_timeout(WallDuration::from_secs(5)).is_ok(),
+                    rx_deciding.try_recv().is_ok(),
                     "waiter on the deciding shard was never woken"
                 );
-                // ...and because the router handles events in order, the
-                // same-valued waiter under the other shard has already
-                // been passed over, not merely not-yet-woken.
+                // ...and because routing is synchronous, the same-valued
+                // waiter under the other shard has already been passed
+                // over, not merely not-yet-woken.
                 prop_assert!(
                     rx_bystander.try_recv().is_err(),
                     "a decide in shard {deciding} woke a waiter registered under shard {bystander}"
                 );
                 // The bystander's registration is still live: a decide
                 // in *its* shard reaches it.
-                dtx.send((at, bystander, value, Instant::now())).unwrap();
+                shared.route_decision(at, bystander, value, Instant::now());
                 prop_assert!(
-                    rx_bystander.recv_timeout(WallDuration::from_secs(5)).is_ok(),
+                    rx_bystander.try_recv().is_ok(),
                     "bystander's registration was lost"
                 );
             }
@@ -497,14 +483,12 @@ mod tests {
             ) {
                 prop_assume!(deciding_proxy != other_proxy);
                 let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3);
-                let (dtx, drx) = crossbeam::channel::unbounded();
-                shared.spawn_router(drx);
                 let (_tok_o, rx_other) =
                     shared.register_waiter(shard, value, p(other_proxy));
                 let (_tok_d, rx_deciding) =
                     shared.register_waiter(shard, value, p(deciding_proxy));
-                dtx.send((p(deciding_proxy), shard, value, Instant::now())).unwrap();
-                prop_assert!(rx_deciding.recv_timeout(WallDuration::from_secs(5)).is_ok());
+                shared.route_decision(p(deciding_proxy), shard, value, Instant::now());
+                prop_assert!(rx_deciding.try_recv().is_ok());
                 prop_assert!(
                     rx_other.try_recv().is_err(),
                     "a decide at proxy {deciding_proxy} woke a waiter bound to proxy {other_proxy}"

@@ -1,7 +1,9 @@
 //! One node per OS thread, hosting one protocol instance per consensus
 //! group.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as WallDuration, Instant};
 
@@ -12,7 +14,7 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::{ProcessId, Value, DELTA};
 
-use crate::cluster::DecideEvent;
+use crate::cluster::ClusterShared;
 use crate::codec;
 use crate::transport::Transport;
 
@@ -57,13 +59,14 @@ impl<V> Drop for NodeHandle<V> {
 }
 
 /// Engine-level options for [`spawn_node`].
-#[derive(Debug)]
 pub(crate) struct NodeOptions<V> {
     /// Wall-clock length of one `Δ`: protocol timer delays (virtual
     /// units where `Δ` = [`DELTA`]) are scaled by `wall_delta / Δ`.
     pub wall_delta: WallDuration,
-    /// Sink for every `decide(v)` event, tagged with the deciding shard.
-    pub decisions: Sender<DecideEvent<V>>,
+    /// The cluster's decision state: every `decide(v)` is routed into
+    /// it from this node's thread, tagged with the deciding shard (see
+    /// [`ClusterShared::route_decision`]).
+    pub shared: Arc<ClusterShared<V>>,
     /// Engine telemetry per shard: shard `s` reports its per-kind
     /// encoded sizes (`bytes_sent`) and its first decision latency in
     /// wall-clock **microseconds** since node start
@@ -84,6 +87,10 @@ pub(crate) struct NodeOptions<V> {
 /// * `transport` — used for this node's sends (self-sends included).
 ///   One protocol step's sends are tagged with their shard, grouped per
 ///   destination and handed to [`Transport::send_many`] as a burst.
+///
+/// Between events the thread parks in `select!` on the inbox and the
+/// control channel until a message arrives, either channel
+/// disconnects, or the earliest armed timer is due.
 ///
 /// # Panics
 ///
@@ -115,8 +122,8 @@ where
                 id,
                 transport,
                 wall_delta: opts.wall_delta,
-                timers: HashMap::new(),
-                decisions: opts.decisions,
+                timers: Timers::default(),
+                shared: opts.shared,
                 decided: vec![false; shards.len()],
                 obs: opts.observers,
                 started: Instant::now(),
@@ -128,26 +135,17 @@ where
             }
 
             loop {
-                // Fire due timers first.
+                // Fire the timers due by now first, in deadline order.
                 let now = Instant::now();
-                let due: Vec<(u32, TimerId)> = node
-                    .timers
-                    .iter()
-                    .filter(|(_, deadline)| **deadline <= now)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for (s, t) in due {
-                    node.timers.remove(&(s, t));
+                while let Some((s, t)) = node.timers.pop_due(now) {
                     let mut eff = Effects::new();
                     shards[s as usize].on_timer(t, &mut eff);
                     node.apply(s, eff);
                 }
-                let wait = node
-                    .timers
-                    .values()
-                    .map(|d| d.saturating_duration_since(Instant::now()))
-                    .min()
-                    .unwrap_or(WallDuration::from_millis(50));
+                // With no timer armed, wait for traffic alone.
+                let wait = node.timers.next_deadline().map_or(WallDuration::MAX, |at| {
+                    at.saturating_duration_since(Instant::now())
+                });
 
                 crossbeam::channel::select! {
                     recv(inbox) -> msg => match msg {
@@ -187,13 +185,58 @@ where
     }
 }
 
+/// A node's armed protocol timers, keyed by `(shard, timer)`.
+#[derive(Default)]
+struct Timers {
+    /// Deadline min-heap. An entry is live only while `armed` still
+    /// maps its key to its deadline: a re-arm or a cancel leaves the
+    /// old entry behind, and it is discarded when it reaches the top.
+    heap: BinaryHeap<Reverse<(Instant, u32, TimerId)>>,
+    /// The current deadline of every armed timer.
+    armed: HashMap<(u32, TimerId), Instant>,
+}
+
+impl Timers {
+    /// Arms `key` for `at`, replacing any earlier deadline it had.
+    fn arm(&mut self, key: (u32, TimerId), at: Instant) {
+        self.armed.insert(key, at);
+        self.heap.push(Reverse((at, key.0, key.1)));
+    }
+
+    fn cancel(&mut self, key: (u32, TimerId)) {
+        self.armed.remove(&key);
+    }
+
+    /// The earliest live deadline, discarding invalidated entries on
+    /// the way.
+    fn next_deadline(&mut self) -> Option<Instant> {
+        while let Some(&Reverse((at, s, t))) = self.heap.peek() {
+            if self.armed.get(&(s, t)) == Some(&at) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Disarms and returns the earliest timer if it is due by `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<(u32, TimerId)> {
+        if self.next_deadline()? > now {
+            return None;
+        }
+        let Reverse((_, s, t)) = self.heap.pop()?;
+        self.armed.remove(&(s, t));
+        Some((s, t))
+    }
+}
+
 /// The per-thread engine state shared by every effect application.
 struct NodeCtx<V, T> {
     id: ProcessId,
     transport: T,
     wall_delta: WallDuration,
-    timers: HashMap<(u32, TimerId), Instant>,
-    decisions: Sender<DecideEvent<V>>,
+    timers: Timers,
+    shared: Arc<ClusterShared<V>>,
     decided: Vec<bool>,
     obs: Vec<ObserverHandle>,
     started: Instant,
@@ -233,7 +276,7 @@ impl<V: Value, T: Transport> NodeCtx<V, T> {
                 let us = at.duration_since(self.started).as_micros();
                 self.obs[s].decision_latency(self.id, u64::try_from(us).unwrap_or(u64::MAX));
             }
-            let _ = self.decisions.send((self.id, shard, v, at));
+            self.shared.route_decision(self.id, shard, v, at);
         }
         // Group the step's sends per destination (preserving each
         // destination's order) so a coalescing transport can flush one
@@ -265,10 +308,10 @@ impl<V: Value, T: Transport> NodeCtx<V, T> {
             let wall = self
                 .wall_delta
                 .mul_f64(delay.units() as f64 / DELTA.units() as f64);
-            self.timers.insert((shard, timer), Instant::now() + wall);
+            self.timers.arm((shard, timer), Instant::now() + wall);
         }
         for timer in eff.timer_cancels {
-            self.timers.remove(&(shard, timer));
+            self.timers.cancel((shard, timer));
         }
     }
 }
@@ -286,6 +329,7 @@ fn msg_kind<M: std::fmt::Debug>(msg: &M) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::DecideEvent;
     use crate::transport::InMemoryTransport;
     use serde::{Deserialize, Serialize};
 
@@ -331,8 +375,81 @@ mod tests {
         }
     }
 
+    /// One step of a [`Scripted`] proposal.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Arm timer `.0` for `.1` Δ from now; re-arming moves it.
+        Arm(u64, u64),
+        Cancel(u64),
+        /// Hold the node thread, so that armed timers fall due together.
+        Busy(WallDuration),
+    }
+
+    /// Runs `script[v]` when `v` is proposed; decides `t` each time
+    /// timer `t` fires.
+    #[derive(Debug)]
+    struct Scripted {
+        me: ProcessId,
+        script: Vec<Vec<Step>>,
+    }
+
+    impl Protocol<u64> for Scripted {
+        type Message = Echo;
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Echo>) {}
+        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Echo>) {
+            for step in &self.script[v as usize] {
+                match *step {
+                    Step::Arm(t, d) => {
+                        eff.set_timer(TimerId(t), twostep_types::Duration::deltas(d));
+                    }
+                    Step::Cancel(t) => eff.cancel_timer(TimerId(t)),
+                    Step::Busy(d) => thread::sleep(d),
+                }
+            }
+        }
+        fn on_message(&mut self, _: ProcessId, _: Echo, _: &mut Effects<u64, Echo>) {}
+        fn on_timer(&mut self, t: TimerId, eff: &mut Effects<u64, Echo>) {
+            eff.decide(t.0);
+        }
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Decision state for `shards` groups over `n` nodes, plus a tap
+    /// that sees every decision the nodes route into it.
+    fn decisions(shards: usize, n: usize) -> (Arc<ClusterShared<u64>>, Receiver<DecideEvent<u64>>) {
+        let shared = ClusterShared::new(shards, n);
+        let tap = shared.subscribe();
+        (shared, tap)
+    }
+
+    /// A node hosting `instances`, routing decisions into `shared`.
+    fn spawn_with<P: Protocol<u64> + 'static>(
+        instances: Vec<P>,
+        inbox: Receiver<(ProcessId, Bytes)>,
+        transport: InMemoryTransport,
+        wall_delta: WallDuration,
+        shared: &Arc<ClusterShared<u64>>,
+    ) -> NodeHandle<u64> {
+        let observers = vec![ObserverHandle::none(); instances.len()];
+        spawn_node(
+            instances,
+            inbox,
+            transport,
+            NodeOptions {
+                wall_delta,
+                shared: Arc::clone(shared),
+                observers,
+            },
+        )
     }
 
     /// A node hosting `shards` independent `Toy` instances.
@@ -342,18 +459,28 @@ mod tests {
         inbox: Receiver<(ProcessId, Bytes)>,
         transport: InMemoryTransport,
         wall_delta: WallDuration,
-        decisions: Sender<DecideEvent<u64>>,
+        shared: &Arc<ClusterShared<u64>>,
     ) -> NodeHandle<u64> {
-        spawn_node(
-            (0..shards).map(|_| Toy { me, decided: None }).collect(),
-            inbox,
+        let toys = (0..shards).map(|_| Toy { me, decided: None }).collect();
+        spawn_with(toys, inbox, transport, wall_delta, shared)
+    }
+
+    /// A one-shard node running `script`, and a tap on its decisions.
+    fn spawn_scripted(
+        script: Vec<Vec<Step>>,
+        wall_delta: WallDuration,
+    ) -> (NodeHandle<u64>, Receiver<DecideEvent<u64>>) {
+        let (transport, mut inboxes) = InMemoryTransport::new(1);
+        let (shared, tap) = decisions(1, 1);
+        let me = p(0);
+        let node = spawn_with(
+            vec![Scripted { me, script }],
+            inboxes.remove(0),
             transport,
-            NodeOptions {
-                wall_delta,
-                decisions,
-                observers: vec![ObserverHandle::none(); shards],
-            },
-        )
+            wall_delta,
+            &shared,
+        );
+        (node, tap)
     }
 
     fn propose(node: &NodeHandle<u64>, shard: u32, v: u64) {
@@ -370,8 +497,8 @@ mod tests {
     #[test]
     fn propose_reaches_protocol_and_decision_reported() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let node = spawn_toy(p(0), 1, inboxes.remove(0), transport, DELTA_10MS, dtx);
+        let (shared, drx) = decisions(1, 1);
+        let node = spawn_toy(p(0), 1, inboxes.remove(0), transport, DELTA_10MS, &shared);
         propose(&node, 0, 42);
         let (who, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((who, shard, v), (p(0), 0, 42));
@@ -380,11 +507,11 @@ mod tests {
     #[test]
     fn messages_roundtrip_through_codec_and_transport() {
         let (transport, mut inboxes) = InMemoryTransport::new(2);
-        let (dtx, drx) = crossbeam::channel::unbounded();
+        let (shared, drx) = decisions(1, 2);
         let rx1 = inboxes.pop().unwrap();
         let rx0 = inboxes.pop().unwrap();
-        let _n0 = spawn_toy(p(0), 1, rx0, transport.clone(), DELTA_10MS, dtx.clone());
-        let _n1 = spawn_toy(p(1), 1, rx1, transport.clone(), DELTA_10MS, dtx);
+        let _n0 = spawn_toy(p(0), 1, rx0, transport.clone(), DELTA_10MS, &shared);
+        let _n1 = spawn_toy(p(1), 1, rx1, transport.clone(), DELTA_10MS, &shared);
         // Inject Echo(5) to node 1 as if from node 0: node 1 replies
         // Echo(105) to node 0, which decides 105.
         transport.send(p(0), p(1), wire(0, Echo(5)));
@@ -395,14 +522,14 @@ mod tests {
     #[test]
     fn coalesced_inbox_frames_are_dispatched_per_message() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
-        let (dtx, drx) = crossbeam::channel::unbounded();
+        let (shared, drx) = decisions(1, 1);
         let _node = spawn_toy(
             p(0),
             1,
             inboxes.remove(0),
             transport.clone(),
             DELTA_10MS,
-            dtx,
+            &shared,
         );
         // Two deciding messages coalesced into one transport payload:
         // both must reach the protocol, in order.
@@ -415,8 +542,8 @@ mod tests {
     #[test]
     fn sharded_node_routes_proposals_and_tags_decisions() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let node = spawn_toy(p(0), 3, inboxes.remove(0), transport, DELTA_10MS, dtx);
+        let (shared, drx) = decisions(3, 1);
+        let node = spawn_toy(p(0), 3, inboxes.remove(0), transport, DELTA_10MS, &shared);
         propose(&node, 2, 7);
         let (who, shard, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!((who, shard, v), (p(0), 2, 7));
@@ -430,11 +557,11 @@ mod tests {
     #[test]
     fn sharded_nodes_tag_wire_traffic_per_shard() {
         let (transport, mut inboxes) = InMemoryTransport::new(2);
-        let (dtx, drx) = crossbeam::channel::unbounded();
+        let (shared, drx) = decisions(2, 2);
         let rx1 = inboxes.pop().unwrap();
         let rx0 = inboxes.pop().unwrap();
-        let _n0 = spawn_toy(p(0), 2, rx0, transport.clone(), DELTA_10MS, dtx.clone());
-        let _n1 = spawn_toy(p(1), 2, rx1, transport.clone(), DELTA_10MS, dtx);
+        let _n0 = spawn_toy(p(0), 2, rx0, transport.clone(), DELTA_10MS, &shared);
+        let _n1 = spawn_toy(p(1), 2, rx1, transport.clone(), DELTA_10MS, &shared);
         // Inject Echo(5) tagged for shard 1 of node 1, as if from node 0:
         // node 1's shard 1 replies Echo(105), tagged for shard 1, and
         // node 0's shard 1 decides 105.
@@ -446,11 +573,11 @@ mod tests {
     #[test]
     fn timer_fires_at_wall_deadline() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
-        let (dtx, drx) = crossbeam::channel::unbounded();
+        let (shared, drx) = decisions(1, 1);
         let started = Instant::now();
         // Δ = 5ms → timer at 20ms.
         let delta = WallDuration::from_millis(5);
-        let _node = spawn_toy(p(0), 1, inboxes.remove(0), transport, delta, dtx);
+        let _node = spawn_toy(p(0), 1, inboxes.remove(0), transport, delta, &shared);
         let (_, _, v, at) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!(v, 999);
         let elapsed = at.duration_since(started);
@@ -460,11 +587,74 @@ mod tests {
         );
     }
 
+    /// Δ long enough that a descheduled test thread cannot let a timer
+    /// fall due before the next proposal reaches the node.
+    const DELTA_50MS: WallDuration = WallDuration::from_millis(50);
+
+    #[test]
+    fn rearming_a_timer_moves_its_deadline() {
+        let (node, tap) = spawn_scripted(
+            vec![
+                vec![Step::Arm(1, 2)],
+                vec![Step::Arm(1, 8), Step::Arm(2, 4)],
+            ],
+            DELTA_50MS,
+        );
+        propose(&node, 0, 0);
+        let rearmed = Instant::now();
+        propose(&node, 0, 1);
+        // Timer 1's first deadline (2Δ) passes unfired: timer 2 (4Δ)
+        // comes first, then timer 1 at its new deadline (8Δ), once.
+        let (_, _, first, _) = tap.recv_timeout(WallDuration::from_secs(5)).unwrap();
+        assert_eq!(first, 2, "timer 1 fired at its old deadline");
+        let (_, _, second, at) = tap.recv_timeout(WallDuration::from_secs(5)).unwrap();
+        assert_eq!(second, 1);
+        let after = at.duration_since(rearmed);
+        assert!(after >= DELTA_50MS * 8, "fired {after:?} after the re-arm");
+        assert!(tap.recv_timeout(DELTA_50MS * 4).is_err(), "fired twice");
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires() {
+        let (node, tap) = spawn_scripted(
+            vec![
+                vec![Step::Arm(1, 1)],
+                vec![Step::Cancel(1), Step::Arm(2, 3)],
+            ],
+            DELTA_50MS,
+        );
+        propose(&node, 0, 0);
+        propose(&node, 0, 1);
+        let (_, _, v, _) = tap.recv_timeout(WallDuration::from_secs(5)).unwrap();
+        assert_eq!(v, 2, "the cancelled timer fired");
+        assert!(tap.recv_timeout(DELTA_50MS * 4).is_err());
+    }
+
+    #[test]
+    fn timers_due_together_fire_in_deadline_order() {
+        // Timer 1 is armed first and has the smaller id, but timer 2
+        // has the earlier deadline; both are due when the busy step
+        // hands the thread back.
+        let (node, tap) = spawn_scripted(
+            vec![
+                vec![Step::Arm(1, 2), Step::Arm(2, 1)],
+                vec![Step::Busy(DELTA_10MS * 5)],
+            ],
+            DELTA_10MS,
+        );
+        propose(&node, 0, 0);
+        propose(&node, 0, 1);
+        let fired: Vec<u64> = (0..2)
+            .map(|_| tap.recv_timeout(WallDuration::from_secs(5)).unwrap().2)
+            .collect();
+        assert_eq!(fired, [2, 1]);
+    }
+
     #[test]
     fn crash_stops_processing() {
         let (transport, mut inboxes) = InMemoryTransport::new(1);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut node = spawn_toy(p(0), 1, inboxes.remove(0), transport, DELTA_10MS, dtx);
+        let (shared, drx) = decisions(1, 1);
+        let mut node = spawn_toy(p(0), 1, inboxes.remove(0), transport, DELTA_10MS, &shared);
         node.crash();
         let _ = node.control().send(Control::ProposeAt(0, 42));
         assert!(drx.recv_timeout(WallDuration::from_millis(300)).is_err());
@@ -477,9 +667,9 @@ mod tests {
         // way.
         let (inbox_tx, inbox) = crossbeam::channel::unbounded();
         let (transport, _inboxes) = InMemoryTransport::new(1);
-        let (dtx, drx) = crossbeam::channel::unbounded();
+        let (shared, drx) = decisions(1, 1);
         let delta = WallDuration::from_secs(10);
-        let node = spawn_toy(p(0), 1, inbox, transport, delta, dtx);
+        let node = spawn_toy(p(0), 1, inbox, transport, delta, &shared);
         let bare = Bytes::from(codec::to_bytes(&Echo(11)).unwrap());
         let packed = codec::pack_frame(&[wire(0, Echo(12))]);
         let malformed = [

@@ -20,11 +20,11 @@ pub(crate) type RouteFn<V> = Arc<dyn Fn(&V) -> u32 + Send + Sync>;
 /// Obtained from [`Cluster::proxy_client`](crate::Cluster::proxy_client)
 /// or [`Cluster::client`](crate::Cluster::client). Each
 /// in-flight [`ProxyClient::submit_and_wait`] registers a
-/// `(shard, value)`-keyed waiter with the cluster router, so concurrent
-/// clients (even on the same proxy) wait for their own commands
-/// independently — the closed-loop pattern the throughput harness
-/// drives — and the router's per-event cost stays O(1) in the number of
-/// clients. The shard in the waiter key isolates groups: an identical
+/// `(shard, value)`-keyed waiter with the cluster, which the deciding
+/// node wakes directly, so concurrent clients (even on the same proxy)
+/// wait for their own commands independently — the closed-loop pattern
+/// the throughput harness drives — and routing a decision costs O(1) in
+/// the number of clients. The shard in the waiter key isolates groups: an identical
 /// value committing in a different shard never wakes this client.
 ///
 /// Clients identify their commands **by value**: submit values that are

@@ -233,6 +233,8 @@ impl ReactorTransport {
 
     /// Test hook: makes the next write toward `to` fail as if the
     /// connection broke, killing the cached connection in the process.
+    /// A frame already on its one redial is left alone; the failure then
+    /// hits the next frame's first attempt.
     ///
     /// This drives the reconnect path deterministically — real kernel
     /// socket teardown surfaces write errors at unpredictable points,
@@ -275,7 +277,7 @@ struct Outbound {
     retry_at: Option<Instant>,
     /// Whether the current flush has used its one redial.
     retried: bool,
-    /// Test hook: fail the next write attempt (see
+    /// Test hook: fail the next first write attempt of a frame (see
     /// [`ReactorTransport::inject_write_failure`]).
     fail_next: bool,
 }
@@ -573,9 +575,11 @@ impl Reactor {
                     }
                 }
             }
-            if o.fail_next {
+            if o.fail_next && !o.retried {
                 // Injected failure: kill the connection and take the
-                // production failure path.
+                // production failure path. It applies to a frame's
+                // first write attempt only, so two injections landing on
+                // one frame never make a double fault that drops it.
                 o.fail_next = false;
                 o.conn = None;
                 self.note_write_failure(peer);
@@ -745,8 +749,9 @@ mod tests {
     fn reactor_send_to_dead_peer_records_drop_after_one_retry() {
         let (metrics, obs) = twostep_telemetry::Metrics::shared();
         let (l0, a0) = ReactorTransport::bind_ephemeral().unwrap();
-        let (l1, a1) = ReactorTransport::bind_ephemeral().unwrap();
-        drop(l1);
+        // Nothing listens on port 0, and unlike a released ephemeral
+        // port no concurrent test can re-bind it.
+        let a1 = SocketAddr::from(([127, 0, 0, 1], 0));
         let (tx0, _rx0) = unbounded();
         let t0 = ReactorTransport::spawn(p(0), vec![a0, a1], l0, tx0, obs).unwrap();
         t0.send(p(0), p(1), Bytes::from_static(b"x"));

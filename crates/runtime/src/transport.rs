@@ -602,9 +602,9 @@ mod tests {
     #[test]
     fn tcp_send_to_dead_peer_does_not_panic() {
         let (l0, a0) = TcpTransport::bind_ephemeral().unwrap();
-        // Reserve then drop a second address so nothing listens there.
-        let (l1, a1) = TcpTransport::bind_ephemeral().unwrap();
-        drop(l1);
+        // Nothing listens on port 0, and unlike a released ephemeral
+        // port no concurrent test can re-bind it.
+        let a1 = SocketAddr::from(([127, 0, 0, 1], 0));
         let (tx0, _rx0) = unbounded();
         let t0 = tcp(p(0), vec![a0, a1], l0, tx0);
         t0.send(p(0), p(1), Bytes::from_static(b"into the void"));
@@ -614,8 +614,7 @@ mod tests {
     fn tcp_send_to_dead_peer_records_drop_after_one_retry() {
         let (metrics, obs) = twostep_telemetry::Metrics::shared();
         let (l0, a0) = TcpTransport::bind_ephemeral().unwrap();
-        let (l1, a1) = TcpTransport::bind_ephemeral().unwrap();
-        drop(l1);
+        let a1 = SocketAddr::from(([127, 0, 0, 1], 0));
         let (tx0, _rx0) = unbounded();
         let t0 = TcpTransport::spawn(p(0), vec![a0, a1], l0, tx0, obs);
         t0.send(p(0), p(1), Bytes::from_static(b"x"));

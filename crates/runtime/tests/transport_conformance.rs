@@ -34,6 +34,7 @@
 //! lives here too: with a fault injected at a seed-chosen point in a
 //! message stream, nothing is lost and order is preserved.
 
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -349,12 +350,14 @@ fn conformance_message_too_long_for_any_frame_is_dropped_and_reported() {
 fn conformance_dead_peer_costs_one_drop_per_message_after_one_retry() {
     for backend in SOCKET_BACKENDS {
         let (metrics, obs) = Metrics::shared();
-        // Deploy 2 processes but kill peer 1's listener before anyone
-        // dials it: both socket backends must record exactly one drop
-        // per message after the single reconnect attempt.
+        // Deploy 2 processes where nothing listens at peer 1's address:
+        // both socket backends must record exactly one drop per message
+        // after the single reconnect attempt. Port 0 refuses every dial
+        // and no listener can hold it; a port bound and released here
+        // could be re-bound by a concurrent test, which would then
+        // receive these messages.
         let (l0, a0) = TcpTransport::bind_ephemeral().unwrap();
-        let (l1, a1) = TcpTransport::bind_ephemeral().unwrap();
-        drop(l1);
+        let a1 = SocketAddr::from(([127, 0, 0, 1], 0));
         let (tx0, _rx0) = unbounded();
         let transport: Box<dyn Transport> = match backend {
             Backend::BlockingTcp => Box::new(TcpTransport::spawn(
